@@ -224,20 +224,30 @@ func TestStepZeroAllocsTelemetryDisabled(t *testing.T) {
 // TestStepZeroAllocsAcrossDesigns extends the zero-alloc guard over the
 // non-COSMOS paths: the baseline walk (NP), the serialised secure path
 // (MorphCtr) and the always-early counter path (EMCC) must not allocate
-// either — the Request/Response/fetchPath plumbing is all value-typed.
-// The systems run with no span recorder attached (the default), so this is
+// either — the Request/Response/fetchPath plumbing is all value-typed —
+// and neither may COSMOS with the perceptron or MLP in both predictor
+// roles. The systems run with no span recorder attached (the default), so this is
 // also the spans-disabled contract: every span site must stay behind a nil
 // check and cost zero allocations when tracing is off.
 func TestStepZeroAllocsAcrossDesigns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement needs the full warmup")
 	}
-	for _, d := range []secmem.Design{
-		secmem.DesignNP(), secmem.DesignMorph(), secmem.DesignEMCC(),
+	for _, tc := range []struct {
+		d      secmem.Design
+		policy string
+	}{
+		{d: secmem.DesignNP()}, {d: secmem.DesignMorph()}, {d: secmem.DesignEMCC()},
+		// The learned policies' forward-pass memo is sized at construction,
+		// so COSMOS stays allocation-free with them too.
+		{secmem.DesignCosmos(), rl.KindPerceptron}, {secmem.DesignCosmos(), rl.KindMLP},
 	} {
-		d := d
-		t.Run(d.Name, func(t *testing.T) {
-			s, gen := warmedSystemFor(d, 400_000)
+		name, policy := tc.d.Name, (*rl.PolicySpec)(nil)
+		if tc.policy != "" {
+			name, policy = name+"+"+tc.policy, &rl.PolicySpec{Kind: tc.policy}
+		}
+		t.Run(name, func(t *testing.T) {
+			s, gen := warmedSystemWith(tc.d, policy, 400_000)
 			const stepsPerRun = 100
 			avg := testing.AllocsPerRun(100, func() {
 				for i := 0; i < stepsPerRun; i++ {
@@ -246,7 +256,7 @@ func TestStepZeroAllocsAcrossDesigns(t *testing.T) {
 				}
 			})
 			if avg > 0 {
-				t.Errorf("%s Step allocates: %.3f allocs per %d steps, want 0", d.Name, avg, stepsPerRun)
+				t.Errorf("%s Step allocates: %.3f allocs per %d steps, want 0", name, avg, stepsPerRun)
 			}
 		})
 	}
@@ -260,8 +270,16 @@ func warmedSystem() (*sim.System, trace.Generator) {
 
 // warmedSystemFor is warmedSystem for an arbitrary design point.
 func warmedSystemFor(d secmem.Design, steps int) (*sim.System, trace.Generator) {
+	return warmedSystemWith(d, nil, steps)
+}
+
+// warmedSystemWith is warmedSystemFor with both predictor roles running
+// the given policy (nil keeps the tabular default).
+func warmedSystemWith(d secmem.Design, policy *rl.PolicySpec, steps int) (*sim.System, trace.Generator) {
 	cfg := sim.DefaultConfig()
 	cfg.MC.MemBytes = 1 << 30
+	cfg.MC.Params.DataPolicy = policy
+	cfg.MC.Params.CtrPolicy = policy
 	s := sim.New(cfg, d)
 	gen := trace.NewUniform(memsys.Region{Base: 0, Size: 32 << 20, Elem: 1}, 20, 3, 1)
 	for i := 0; i < steps; i++ {

@@ -41,10 +41,31 @@ type MLP struct {
 	Decisions uint64
 	Updates   uint64
 
-	// scratch reused across calls to keep Act allocation-free.
-	x []int8  // input features, ±1
-	h []int32 // hidden pre-activations
-	a []int32 // hidden activations
+	// ver is the weight version: every write to w1/b1/w2/b2 bumps it, so a
+	// memo entry computed at an older version is known to be stale.
+	ver  uint64
+	memo [memoEntries]mlpEntry
+	mru  int // memo index touched last; the other one is the victim
+}
+
+// memoEntries sizes the per-policy forward-pass memo. Two entries cover the
+// predictors' per-access call patterns: the data predictor revisits one key
+// (Act, then Value and Learn), the locality predictor interleaves its own
+// key with the CET head and the evicted block.
+const memoEntries = 2
+
+// mlpEntry memoizes one key's forward pass. The features and state tag are
+// a function of the key alone and stay valid for as long as the entry holds
+// that key; the hidden activations and outputs are valid only while the
+// weights are still at version ver.
+type mlpEntry struct {
+	key    uint64
+	used   bool
+	state  int
+	x      []int32 // input features, ±1
+	ver    uint64
+	a      []int32 // hidden activations
+	o0, o1 int32
 }
 
 var _ Policy = (*MLP)(nil)
@@ -72,9 +93,14 @@ func (m *MLP) alloc() {
 	m.b1 = make([]int16, m.hidden)
 	m.w2 = make([]int16, mlpActions*m.hidden)
 	m.b2 = make([]int16, mlpActions)
-	m.x = make([]int8, m.inputs)
-	m.h = make([]int32, m.hidden)
-	m.a = make([]int32, m.hidden)
+	slab := make([]int32, memoEntries*(m.inputs+m.hidden))
+	for i := range m.memo {
+		x, rest := slab[:m.inputs:m.inputs], slab[m.inputs:]
+		a := rest[:m.hidden:m.hidden]
+		slab = rest[m.hidden:]
+		m.memo[i] = mlpEntry{x: x, a: a}
+	}
+	m.mru = 0
 }
 
 // init fills the first layer with small seeded weights in [-8, 7] (the
@@ -89,53 +115,64 @@ func (m *MLP) init() {
 	clear(m.b1)
 	clear(m.w2)
 	clear(m.b2)
+	m.ver++
 }
 
-// feature extracts input i as ±1 from a salted hash of the key, each input
-// looking at a different address granularity (same scheme as the
+// mlpFeature extracts input i as ±1 from a salted hash of the key, each
+// input looking at a different address granularity (same scheme as the
 // perceptron's buckets, one bit instead of one counter).
-func mlpFeature(i int, key uint64) int8 {
+func mlpFeature(i int, key uint64) int32 {
 	shift := uint(6 + i%8)
 	h := SplitMix64((key>>shift)*featureSalts[i%len(featureSalts)] + uint64(i))
-	if h&1 == 0 {
-		return -1
-	}
-	return 1
+	return int32(h&1)*2 - 1
 }
 
-// forward runs integer inference for key, filling the scratch slices and
-// returning the two output activations.
-func (m *MLP) forward(key uint64) (o0, o1 int32) {
-	for i := 0; i < m.inputs; i++ {
-		m.x[i] = mlpFeature(i, key)
-	}
-	for j := 0; j < m.hidden; j++ {
-		acc := int32(m.b1[j])
-		row := j * m.inputs
-		for i := 0; i < m.inputs; i++ {
-			w := int32(m.w1[row+i])
-			if m.x[i] >= 0 {
-				acc += w
-			} else {
-				acc -= w
+// forward returns key's memo entry with its outputs at the current weight
+// version: a hit on the same key and version costs nothing, a hit on the
+// same key after a weight write re-runs only the layers, and a miss also
+// hashes the features, evicting the less recently used entry.
+func (m *MLP) forward(key uint64) *mlpEntry {
+	e := &m.memo[m.mru]
+	if !e.used || e.key != key {
+		m.mru ^= 1
+		e = &m.memo[m.mru]
+		if !e.used || e.key != key {
+			e.key, e.used = key, true
+			e.state = int(SplitMix64(key) & mlpStateMask)
+			for i := range e.x {
+				e.x[i] = mlpFeature(i, key)
 			}
+			e.ver = m.ver - 1 // stale: evaluate below
 		}
-		m.h[j] = acc
-		if acc < 0 {
-			acc = 0
-		}
-		acc >>= mlpActShift
-		if acc > mlpActMax {
-			acc = mlpActMax
-		}
-		m.a[j] = acc
 	}
-	o0, o1 = int32(m.b2[0]), int32(m.b2[1])
-	for j := 0; j < m.hidden; j++ {
-		o0 += int32(m.w2[j]) * m.a[j]
-		o1 += int32(m.w2[m.hidden+j]) * m.a[j]
+	if e.ver != m.ver {
+		m.eval(e)
 	}
-	return o0, o1
+	return e
+}
+
+// eval runs integer inference over e's features at the current weights.
+// Each row is re-sliced to the feature count and each feature is ±1, so the
+// inner loop is a multiply-add with neither bounds checks nor a sign branch.
+func (m *MLP) eval(e *mlpEntry) {
+	x, act := e.x, e.a
+	b1 := m.b1[:len(act)]
+	for j := range act {
+		row := m.w1[j*len(x):][:len(x)]
+		acc := int32(b1[j])
+		for i, w := range row {
+			acc += int32(w) * x[i]
+		}
+		act[j] = min(max(acc, 0)>>mlpActShift, mlpActMax)
+	}
+	w20 := m.w2[:len(act)]
+	w21 := m.w2[len(act):][:len(act)]
+	o0, o1 := int32(m.b2[0]), int32(m.b2[1])
+	for j, a := range act {
+		o0 += int32(w20[j]) * a
+		o1 += int32(w21[j]) * a
+	}
+	e.o0, e.o1, e.ver = o0, o1, m.ver
 }
 
 // Kind implements Policy.
@@ -146,12 +183,12 @@ func (m *MLP) Kind() string { return KindMLP }
 // hashed tag of the key.
 func (m *MLP) Act(key uint64) Decision {
 	m.Decisions++
-	o0, o1 := m.forward(key)
+	e := m.forward(key)
 	a := 0
-	if o1 > o0 {
+	if e.o1 > e.o0 {
 		a = 1
 	}
-	return Decision{State: int(SplitMix64(key) & mlpStateMask), Action: a}
+	return Decision{State: e.state, Action: a}
 }
 
 // Learn applies a sign-sign update toward the reward-implied target action
@@ -166,51 +203,51 @@ func (m *MLP) Learn(t Transition) {
 	if t.Reward < 0 {
 		want = 1 - want
 	}
-	o0, o1 := m.forward(t.Key)
+	e := m.forward(t.Key)
 	pred := 0
-	if o1 > o0 {
+	if e.o1 > e.o0 {
 		pred = 1
 	}
 	if pred == want {
 		return
 	}
 	m.Updates++
-	other := 1 - want
-	for j := 0; j < m.hidden; j++ {
-		if m.a[j] > 0 {
-			m.w2[want*m.hidden+j] = satAdd16(m.w2[want*m.hidden+j], 1)
-			m.w2[other*m.hidden+j] = satAdd16(m.w2[other*m.hidden+j], -1)
+	m.ver++
+	x, act := e.x, e.a
+	b1 := m.b1[:len(act)]
+	wantRow := m.w2[want*len(act):][:len(act)]
+	otherRow := m.w2[(1-want)*len(act):][:len(act)]
+	for j, a := range act {
+		if a > 0 {
+			wantRow[j] = satAdd16(wantRow[j], 1)
+			otherRow[j] = satAdd16(otherRow[j], -1)
 		}
 		// First layer: push units the target output weights positively to
 		// fire (and vice versa), following each input's sign.
 		var d int16
 		switch {
-		case m.w2[want*m.hidden+j] > m.w2[other*m.hidden+j]:
+		case wantRow[j] > otherRow[j]:
 			d = 1
-		case m.w2[want*m.hidden+j] < m.w2[other*m.hidden+j]:
+		case wantRow[j] < otherRow[j]:
 			d = -1
 		default:
 			continue
 		}
-		row := j * m.inputs
-		for i := 0; i < m.inputs; i++ {
-			if m.x[i] >= 0 {
-				m.w1[row+i] = satAdd16(m.w1[row+i], d)
-			} else {
-				m.w1[row+i] = satAdd16(m.w1[row+i], -d)
-			}
+		row := m.w1[j*len(x):][:len(x)]
+		for i, w := range row {
+			row[i] = satAdd16(w, d*int16(x[i]))
 		}
-		m.b1[j] = satAdd16(m.b1[j], d)
+		b1[j] = satAdd16(b1[j], d)
 	}
 	m.b2[want] = satAdd16(m.b2[want], 1)
-	m.b2[other] = satAdd16(m.b2[other], -1)
+	m.b2[1-want] = satAdd16(m.b2[1-want], -1)
 }
 
 // Value returns the chosen action's output margin scaled into the tabular Q
 // range (state is ignored; the MLP re-derives everything from the key).
 func (m *MLP) Value(key uint64, _, action int) float64 {
-	o0, o1 := m.forward(key)
-	diff := o0 - o1
+	e := m.forward(key)
+	diff := e.o0 - e.o1
 	if action == 1 {
 		diff = -diff
 	}
@@ -221,8 +258,8 @@ func (m *MLP) Value(key uint64, _, action int) float64 {
 
 // Score maps the decision margin onto the unsigned 8-bit confidence scale.
 func (m *MLP) Score(key uint64, _, action int) uint8 {
-	o0, o1 := m.forward(key)
-	diff := o0 - o1
+	e := m.forward(key)
+	diff := e.o0 - e.o1
 	if action == 1 {
 		diff = -diff
 	}
@@ -304,6 +341,7 @@ func (m *MLP) Restore(sn Snapshot) error {
 			k++
 		}
 	}
+	m.ver++
 	return nil
 }
 
@@ -316,12 +354,5 @@ func (m *MLP) RegisterMetrics(s *telemetry.Scope) {
 
 // satAdd16 adds with saturation at ±mlpWeightMax.
 func satAdd16(w, d int16) int16 {
-	w += d
-	if w > mlpWeightMax {
-		return mlpWeightMax
-	}
-	if w < -mlpWeightMax {
-		return -mlpWeightMax
-	}
-	return w
+	return min(max(w+d, -mlpWeightMax), mlpWeightMax)
 }

@@ -36,6 +36,23 @@ type Perceptron struct {
 
 	Decisions uint64
 	Updates   uint64
+
+	// ver is the weight version, bumped on every write to w; the memo
+	// follows the MLP's (see memoEntries).
+	ver  uint64
+	memo [memoEntries]perceptronEntry
+	mru  int
+}
+
+// perceptronEntry memoizes one key's weight indices, a function of the key
+// alone, and its activation, valid only while the weights are at version
+// ver.
+type perceptronEntry struct {
+	key  uint64
+	used bool
+	idx  []int // per-feature index into w
+	ver  uint64
+	sum  int32
 }
 
 var _ Policy = (*Perceptron)(nil)
@@ -58,12 +75,19 @@ func NewPerceptron(features, buckets int, theta int32) *Perceptron {
 	if buckets <= 0 || buckets&(buckets-1) != 0 {
 		panic(fmt.Sprintf("rl: perceptron buckets must be a positive power of two, got %d", buckets))
 	}
-	return &Perceptron{
-		features: features,
-		buckets:  buckets,
-		theta:    theta,
-		w:        make([]int16, features*buckets),
+	pc := &Perceptron{features: features, buckets: buckets, theta: theta}
+	pc.alloc()
+	return pc
+}
+
+// alloc sizes the weight tables and the memo for the current shape.
+func (pc *Perceptron) alloc() {
+	pc.w = make([]int16, pc.features*pc.buckets)
+	idx := make([]int, memoEntries*pc.features)
+	for i := range pc.memo {
+		pc.memo[i] = perceptronEntry{idx: idx[i*pc.features:][:pc.features:pc.features]}
 	}
+	pc.mru = 0
 }
 
 // featureSalts are fixed odd multipliers decorrelating the per-feature
@@ -84,14 +108,31 @@ func (pc *Perceptron) bucketOf(f int, key uint64) int {
 	return f*pc.buckets + int(h&uint64(pc.buckets-1))
 }
 
-// sum returns the integer activation for key. int32 cannot overflow: |w| ≤
-// 127 and features is small.
-func (pc *Perceptron) sum(key uint64) int32 {
-	var y int32
-	for f := 0; f < pc.features; f++ {
-		y += int32(pc.w[pc.bucketOf(f, key)])
+// lookup returns key's memo entry with its activation at the current
+// weight version, hashing the bucket indices only on a miss (which evicts
+// the less recently used entry). int32 cannot overflow: |w| ≤ 127 and
+// features is small.
+func (pc *Perceptron) lookup(key uint64) *perceptronEntry {
+	e := &pc.memo[pc.mru]
+	if !e.used || e.key != key {
+		pc.mru ^= 1
+		e = &pc.memo[pc.mru]
+		if !e.used || e.key != key {
+			e.key, e.used = key, true
+			for f := range e.idx {
+				e.idx[f] = pc.bucketOf(f, key)
+			}
+			e.ver = pc.ver - 1 // stale: evaluate below
+		}
 	}
-	return y
+	if e.ver != pc.ver {
+		var y int32
+		for _, i := range e.idx {
+			y += int32(pc.w[i])
+		}
+		e.sum, e.ver = y, pc.ver
+	}
+	return e
 }
 
 // Kind implements Policy.
@@ -103,11 +144,13 @@ func (pc *Perceptron) Kind() string { return KindPerceptron }
 // the key on Learn.
 func (pc *Perceptron) Act(key uint64) Decision {
 	pc.Decisions++
+	e := pc.lookup(key)
 	a := 0
-	if pc.sum(key) >= 0 {
+	if e.sum >= 0 {
 		a = 1
 	}
-	return Decision{State: pc.bucketOf(0, key) % pc.buckets, Action: a}
+	// Feature 0's index lies in [0, buckets), so it is its own bucket.
+	return Decision{State: e.idx[0], Action: a}
 }
 
 // Learn applies the margin rule. The target sign comes from the transition:
@@ -123,7 +166,8 @@ func (pc *Perceptron) Learn(t Transition) {
 	if t.Reward < 0 {
 		want = 1 - want
 	}
-	y := pc.sum(t.Key)
+	e := pc.lookup(t.Key)
+	y := e.sum
 	pred := 0
 	if y >= 0 {
 		pred = 1
@@ -132,19 +176,10 @@ func (pc *Perceptron) Learn(t Transition) {
 		return
 	}
 	pc.Updates++
-	var d int16 = 1
-	if want == 0 {
-		d = -1
-	}
-	for f := 0; f < pc.features; f++ {
-		i := pc.bucketOf(f, t.Key)
-		w := pc.w[i] + d
-		if w > perceptronWeightMax {
-			w = perceptronWeightMax
-		} else if w < -perceptronWeightMax {
-			w = -perceptronWeightMax
-		}
-		pc.w[i] = w
+	pc.ver++
+	d := int16(want)*2 - 1
+	for _, i := range e.idx {
+		pc.w[i] = min(max(pc.w[i]+d, -perceptronWeightMax), perceptronWeightMax)
 	}
 }
 
@@ -156,14 +191,13 @@ func (pc *Perceptron) Value(key uint64, _, _ int) float64 {
 	if max == 0 {
 		return 0
 	}
-	return float64(pc.sum(key)) * QClamp / float64(max)
+	return float64(pc.lookup(key).sum) * QClamp / float64(max)
 }
 
 // Score maps the activation's magnitude onto the unsigned 8-bit confidence
 // scale: 128 = neutral, saturating toward 0/255 with the margin.
 func (pc *Perceptron) Score(key uint64, _, _ int) uint8 {
-	y := pc.sum(key)
-	v := int32(128) + y
+	v := int32(128) + pc.lookup(key).sum
 	if v < 0 {
 		v = 0
 	} else if v > 255 {
@@ -184,6 +218,7 @@ func (pc *Perceptron) Reset() {
 		return
 	}
 	clear(pc.w)
+	pc.ver++
 }
 
 // StorageBits reports the weight tables' hardware cost (16 bits/weight).
@@ -228,17 +263,17 @@ func (pc *Perceptron) Restore(sn Snapshot) error {
 	if want := features * buckets * 2; len(sn.Weights) != want {
 		return fmt.Errorf("rl: perceptron snapshot has %d weight bytes, want %d", len(sn.Weights), want)
 	}
-	w := make([]int16, features*buckets)
-	for i := range w {
-		w[i] = int16At(sn.Weights, i)
-	}
 	pc.features = features
 	pc.buckets = buckets
 	pc.theta = int32(sn.Meta.Theta)
 	if pc.theta == 0 {
 		pc.theta = defaultPerceptronTheta
 	}
-	pc.w = w
+	pc.alloc()
+	for i := range pc.w {
+		pc.w[i] = int16At(sn.Weights, i)
+	}
+	pc.ver++
 	return nil
 }
 

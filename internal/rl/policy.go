@@ -163,12 +163,15 @@ func (sp *PolicySpec) Validate() error {
 	if sp.Buckets != 0 && (sp.Buckets < 0 || sp.Buckets&(sp.Buckets-1) != 0) {
 		return fmt.Errorf("rl: policy buckets %d must be a positive power of two", sp.Buckets)
 	}
-	for name, v := range map[string]int{
-		"features": sp.Features, "theta": sp.Theta,
-		"inputs": sp.Inputs, "hidden": sp.Hidden,
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{
+		{"features", sp.Features}, {"theta", sp.Theta},
+		{"inputs", sp.Inputs}, {"hidden", sp.Hidden},
 	} {
-		if v < 0 {
-			return fmt.Errorf("rl: policy %s %d must not be negative", name, v)
+		if f.v < 0 {
+			return fmt.Errorf("rl: policy %s %d must not be negative", f.name, f.v)
 		}
 	}
 	if sp.Frozen != nil {

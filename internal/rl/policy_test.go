@@ -145,6 +145,14 @@ func TestPolicySpecValidate(t *testing.T) {
 	if err := (&PolicySpec{Kind: KindMLP, Hidden: -1}).Validate(); err == nil {
 		t.Error("negative hidden must be rejected")
 	}
+	// With several negative fields the error names the first in field
+	// order, every time.
+	for i := 0; i < 20; i++ {
+		err := (&PolicySpec{Kind: KindMLP, Theta: -2, Hidden: -1, Features: -3}).Validate()
+		if err == nil || err.Error() != "rl: policy features -3 must not be negative" {
+			t.Fatalf("run %d: error = %v, want the features field named", i, err)
+		}
+	}
 	for _, k := range PolicyKinds() {
 		if err := (&PolicySpec{Kind: k}).Validate(); err != nil {
 			t.Errorf("bare kind %q should validate: %v", k, err)
