@@ -27,7 +27,7 @@ func AblLayout(l *Lab) *stats.Table {
 		if l.Err() != nil {
 			break
 		}
-		g := cachedGraphForLab(l)
+		g := workloads.Graph(l.Scale.GraphNodes, l.Scale.GraphDegree, l.Scale.Seed)
 		var w *graph.Workspace
 		name := "packed-CSR"
 		if scattered {
@@ -50,24 +50,6 @@ func AblLayout(l *Lab) *stats.Table {
 		t.Row(name, stats.Pct(r.CtrMissRate), stats.Pct(r.LLCMissRate), r.Traffic.MTRead)
 	}
 	return t
-}
-
-func cachedGraphForLab(l *Lab) *graph.Graph {
-	// Reuse the workloads package cache indirectly by building the graph
-	// with the same parameters it would use.
-	return graphForScale(l.Scale)
-}
-
-var graphMemo = map[string]*graph.Graph{}
-
-func graphForScale(sc Scale) *graph.Graph {
-	key := fmt.Sprintf("%d/%d/%d", sc.GraphNodes, sc.GraphDegree, sc.Seed)
-	if g, ok := graphMemo[key]; ok {
-		return g
-	}
-	g := graph.NewBarabasiAlbert(sc.GraphNodes, sc.GraphDegree, sc.Seed)
-	graphMemo[key] = g
-	return g
 }
 
 // AblTraversal compares stop-at-hit Merkle traversal (MT nodes cached in

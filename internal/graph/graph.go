@@ -11,7 +11,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cosmos/internal/rl"
 )
@@ -41,37 +41,44 @@ func (g *Graph) NumEdges() int { return len(g.Edges) }
 // Self-loops are dropped; parallel edges are kept (they occur in social
 // graphs and only add stream weight).
 func FromEdgeList(n int, edges [][2]uint32) *Graph {
-	deg := make([]uint32, n+1)
+	pairs := make([]uint32, 0, 2*len(edges))
 	for _, e := range edges {
-		if e[0] == e[1] {
-			continue
-		}
-		deg[e[0]+1]++
-		deg[e[1]+1]++
+		pairs = append(pairs, e[0], e[1])
 	}
+	return fromPairs(n, pairs)
+}
+
+// fromPairs builds the CSR graph from a flat edge list: pairs[2k] and
+// pairs[2k+1] are the endpoints of undirected edge k.
+func fromPairs(n int, pairs []uint32) *Graph {
+	// offsets[u+1] counts u's degree, then a prefix sum turns the counts
+	// into row starts.
 	offsets := make([]uint32, n+1)
+	for i := 0; i+1 < len(pairs); i += 2 {
+		if u, v := pairs[i], pairs[i+1]; u != v {
+			offsets[u+1]++
+			offsets[v+1]++
+		}
+	}
 	for i := 1; i <= n; i++ {
-		offsets[i] = offsets[i-1] + deg[i]
+		offsets[i] += offsets[i-1]
 	}
 	adj := make([]uint32, offsets[n])
-	fill := make([]uint32, n)
-	for _, e := range edges {
-		if e[0] == e[1] {
-			continue
+	next := slices.Clone(offsets[:n]) // per-row fill cursor
+	for i := 0; i+1 < len(pairs); i += 2 {
+		if u, v := pairs[i], pairs[i+1]; u != v {
+			adj[next[u]] = v
+			next[u]++
+			adj[next[v]] = u
+			next[v]++
 		}
-		u, v := e[0], e[1]
-		adj[offsets[u]+fill[u]] = v
-		fill[u]++
-		adj[offsets[v]+fill[v]] = u
-		fill[v]++
 	}
-	g := &Graph{N: n, Offsets: offsets, Edges: adj}
 	// Sort each adjacency list so triangle counting can merge-intersect,
 	// as GraphBIG does.
 	for u := 0; u < n; u++ {
-		sortU32(adj[offsets[u]:offsets[u+1]])
+		slices.Sort(adj[offsets[u]:offsets[u+1]])
 	}
-	return g
+	return &Graph{N: n, Offsets: offsets, Edges: adj}
 }
 
 // NewBarabasiAlbert generates a scale-free graph by preferential attachment:
@@ -86,33 +93,48 @@ func NewBarabasiAlbert(n, m int, seed uint64) *Graph {
 		m = n - 1
 	}
 	rng := rl.NewRand(seed)
-	edges := make([][2]uint32, 0, n*m)
 	// Repeated-endpoint list: sampling uniformly from it is sampling
-	// proportional to degree.
-	endpoints := make([]uint32, 0, 2*n*m)
+	// proportional to degree. endpoints[2k], endpoints[2k+1] is edge k, so
+	// the list doubles as the edge list the CSR is built from. It holds the
+	// clique's m(m+1)/2 edges plus m per later vertex.
+	endpoints := make([]uint32, 0, m*(m+1)+2*(n-m-1)*m)
 	// Seed clique over the first m+1 vertices.
 	for u := 0; u <= m; u++ {
 		for v := u + 1; v <= m; v++ {
-			edges = append(edges, [2]uint32{uint32(u), uint32(v)})
 			endpoints = append(endpoints, uint32(u), uint32(v))
 		}
 	}
+	order := make([]uint32, 0, m) // u's distinct targets, in acceptance order
+	idx := make([]int, m)
+	drawn := make([]uint32, m)
 	for u := m + 1; u < n; u++ {
-		chosen := map[uint32]bool{}
-		order := make([]uint32, 0, m)
-		for len(chosen) < m {
-			t := endpoints[rng.Intn(len(endpoints))]
-			if t != uint32(u) && !chosen[t] {
-				chosen[t] = true
-				order = append(order, t)
+		order = order[:0]
+		for len(order) < m {
+			// Each draw accepts at most one target, so the k still missing
+			// take at least k more draws, and endpoints is fixed until u is
+			// done: draw all k indices first, read them (the reads overlap
+			// instead of serializing), then accept them in draw order. This
+			// consumes the same rng sequence, and accepts the same targets,
+			// as one draw at a time. Every endpoint is an earlier vertex, so
+			// none is u itself.
+			k := m - len(order)
+			for i := range idx[:k] {
+				idx[i] = rng.Intn(len(endpoints))
+			}
+			for i, j := range idx[:k] {
+				drawn[i] = endpoints[j]
+			}
+			for _, t := range drawn[:k] {
+				if !slices.Contains(order, t) {
+					order = append(order, t)
+				}
 			}
 		}
 		for _, v := range order {
-			edges = append(edges, [2]uint32{uint32(u), v})
 			endpoints = append(endpoints, uint32(u), v)
 		}
 	}
-	return FromEdgeList(n, edges)
+	return fromPairs(n, endpoints)
 }
 
 // NewUniformRandom generates an Erdős–Rényi-style graph with the given
@@ -214,8 +236,4 @@ func intersectGreater(a, b []uint32, min uint32) uint64 {
 		}
 	}
 	return c
-}
-
-func sortU32(s []uint32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

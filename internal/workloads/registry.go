@@ -59,25 +59,32 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// graphCache memoises generated graphs: building a large BA graph costs
-// seconds and every experiment sweep reuses the same one.
-var graphCache sync.Map // key string -> *graph.Graph
+// graphCache memoises generated graphs: every experiment sweep reuses the
+// same graph, and the 2M-node default holds about 136 MB of CSR arrays, so
+// each (nodes, degree, seed) is built once per process and shared.
+var graphCache sync.Map // key string -> *graphEntry
 
-func cachedGraph(nodes, degree int, seed uint64) *graph.Graph {
+type graphEntry struct {
+	once sync.Once
+	g    *graph.Graph
+}
+
+// Graph returns the Barabási–Albert graph for (nodes, degree, seed). The
+// first caller builds it; concurrent callers for the same key wait for that
+// build and share its result.
+func Graph(nodes, degree int, seed uint64) *graph.Graph {
 	key := fmt.Sprintf("%d/%d/%d", nodes, degree, seed)
-	if g, ok := graphCache.Load(key); ok {
-		return g.(*graph.Graph)
-	}
-	g := graph.NewBarabasiAlbert(nodes, degree, seed)
-	graphCache.Store(key, g)
-	return g
+	v, _ := graphCache.LoadOrStore(key, new(graphEntry))
+	e := v.(*graphEntry)
+	e.once.Do(func() { e.g = graph.NewBarabasiAlbert(nodes, degree, seed) })
+	return e.g
 }
 
 // BuildGraph constructs one of the eight graph workloads over a cached
 // scale-free graph.
 func BuildGraph(name string, o Options) (trace.Generator, error) {
 	o = o.withDefaults()
-	g := cachedGraph(o.GraphNodes, o.GraphDegree, o.Seed)
+	g := Graph(o.GraphNodes, o.GraphDegree, o.Seed)
 	w := graph.NewWorkspace(g, o.Threads, 1<<30)
 	switch name {
 	case "DFS":

@@ -1,8 +1,10 @@
 package workloads
 
 import (
+	"sync"
 	"testing"
 
+	"cosmos/internal/graph"
 	"cosmos/internal/memsys"
 	"cosmos/internal/trace"
 )
@@ -148,6 +150,37 @@ func TestGraphCacheReuse(t *testing.T) {
 	a2 := take(t, g2, 100)
 	if len(a1) == 0 || len(a2) == 0 {
 		t.Fatal("cached-graph workloads must stream")
+	}
+}
+
+// TestGraphCacheSingleFlight starts eight cold callers on a fresh key at
+// once: one of them builds the graph and all of them share that build.
+func TestGraphCacheSingleFlight(t *testing.T) {
+	o := Options{Threads: 2, Seed: 0x5f1e, GraphNodes: 20000, GraphDegree: 8}
+	const callers = 8
+	got := make([]*graph.Graph, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			gen, err := BuildGraph("DC", o)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			trace.CloseIfCloser(gen)
+			got[i] = Graph(o.GraphNodes, o.GraphDegree, o.Seed)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, g := range got {
+		if g == nil || g != got[0] {
+			t.Fatalf("caller %d got graph %p, caller 0 got %p", i, g, got[0])
+		}
 	}
 }
 
