@@ -67,7 +67,6 @@ func run() int {
 		timeout    = cliflags.RegisterTimeout(flag.CommandLine)
 		faults     = cliflags.RegisterFault(flag.CommandLine)
 		obsFlags   = cliflags.RegisterObs(flag.CommandLine)
-		parCores   = cliflags.RegisterParallelCores(flag.CommandLine)
 		policy     = cliflags.RegisterPolicy(flag.CommandLine)
 		spanFlags  = cliflags.RegisterSpans(flag.CommandLine)
 		coordFlags = cliflags.RegisterCoord(flag.CommandLine)
@@ -205,9 +204,6 @@ func run() int {
 			return exitUsage
 		}
 		lopts = append(lopts, experiments.WithFaults(faultCfg))
-	}
-	if *parCores > 1 {
-		lopts = append(lopts, experiments.WithParallelCores(*parCores))
 	}
 	if dataPolicy != nil || ctrPolicy != nil {
 		lopts = append(lopts, experiments.WithPolicy(dataPolicy, ctrPolicy))

@@ -38,7 +38,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "campaign workers for the e2e benchmark (0 = GOMAXPROCS)")
 		handicap  = flag.Float64("handicap", 0, "self-test knob: artificially slow every measurement by this factor (2 must fail a clean ratchet)")
 		timeout   = cliflags.RegisterTimeout(flag.CommandLine)
-		parCores  = cliflags.RegisterParallelCores(flag.CommandLine)
 
 		out     = flag.String("out", "", "write the measured report to this file (BENCH_<n>.json)")
 		seq     = flag.Int("seq", 0, "sequence number stamped into the report (the <n> of BENCH_<n>.json)")
@@ -91,7 +90,6 @@ func main() {
 	cfg.E2E = *e2e
 	cfg.E2EScale = *e2eScale
 	cfg.Workers = *workers
-	cfg.ParallelCores = *parCores
 	cfg.Handicap = *handicap
 	cfg.Logf = func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "cosmos-perf: "+format+"\n", args...)

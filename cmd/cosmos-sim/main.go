@@ -90,7 +90,6 @@ func main() {
 		timeout   = cliflags.RegisterTimeout(flag.CommandLine)
 		obsFlags  = cliflags.RegisterObs(flag.CommandLine)
 		faults    = cliflags.RegisterFault(flag.CommandLine)
-		parCores  = cliflags.RegisterParallelCores(flag.CommandLine)
 		policy    = cliflags.RegisterPolicy(flag.CommandLine)
 		spanFlags = cliflags.RegisterSpans(flag.CommandLine)
 
@@ -159,7 +158,6 @@ func main() {
 	}
 
 	s := sim.New(cfg, d)
-	s.SetParallelCores(*parCores)
 	label := *workload + "_" + d.Name
 
 	spanRec := spanFlags.Recorder()

@@ -1,11 +1,10 @@
 // Package cliflags centralises the flag sets every cosmos command used to
 // copy-paste: the observability plane trio (-listen, -log-format,
 // -log-level), the deterministic fault plane (-fault-*, -crash-*), the
-// learned-policy zoo (-policy, -policy-frozen, -list-policies), the
-// campaign timeout and the parallel-engine knob (-parallel-cores). Each
-// Register* call adds one group to a FlagSet; a command picks exactly the
-// groups it supports, so flag names, defaults and help text stay identical
-// across binaries by construction.
+// learned-policy zoo (-policy, -policy-frozen, -list-policies) and the
+// campaign timeout. Each Register* call adds one group to a FlagSet; a
+// command picks exactly the groups it supports, so flag names, defaults and
+// help text stay identical across binaries by construction.
 package cliflags
 
 import (
@@ -271,12 +270,6 @@ func (c *Coord) Name() string {
 // RegisterTimeout adds the -timeout flag to fs.
 func RegisterTimeout(fs *flag.FlagSet) *time.Duration {
 	return fs.Duration("timeout", 0, "abort after this duration (0 = none)")
-}
-
-// RegisterParallelCores adds the -parallel-cores flag to fs.
-func RegisterParallelCores(fs *flag.FlagSet) *int {
-	return fs.Int("parallel-cores", 0,
-		"run each simulation on the deterministic epoch-barrier parallel engine with up to this many worker goroutines; results are bit-identical to serial (0/1 = serial engine)")
 }
 
 // SignalContext builds the command's root context: SIGINT/SIGTERM cancel

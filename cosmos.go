@@ -199,12 +199,6 @@ type ExperimentOpts struct {
 	// Progress, when non-nil, receives a RunUpdate per completed
 	// simulation request. It may be called concurrently.
 	Progress func(RunUpdate)
-	// ParallelCores > 1 runs each simulation on the deterministic
-	// epoch-barrier parallel engine with up to that many worker goroutines.
-	// Results are bit-identical to serial runs — the knob trades wall-clock
-	// for CPUs, never semantics — so results stored under one setting are
-	// reused under any other.
-	ParallelCores int
 }
 
 // RunExperiment regenerates one paper table or figure. scale 1.0 is the
@@ -230,9 +224,6 @@ func RunExperimentContext(ctx context.Context, id string, opts ExperimentOpts) (
 	lopts := []experiments.LabOption{experiments.WithContext(ctx)}
 	if opts.Workers > 0 {
 		lopts = append(lopts, experiments.WithWorkers(opts.Workers))
-	}
-	if opts.ParallelCores > 1 {
-		lopts = append(lopts, experiments.WithParallelCores(opts.ParallelCores))
 	}
 	if opts.ResultsDir != "" {
 		st, err := runner.OpenStore(opts.ResultsDir)

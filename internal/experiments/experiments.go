@@ -117,15 +117,14 @@ type Lab struct {
 type LabOption func(*labOptions)
 
 type labOptions struct {
-	ctx           context.Context
-	workers       int
-	store         *runner.Store
-	observer      func(runner.Event)
-	lifecycle     func(runner.Transition)
-	fault         *fault.Config
-	parallelCores int
-	dataPolicy    *rl.PolicySpec
-	ctrPolicy     *rl.PolicySpec
+	ctx        context.Context
+	workers    int
+	store      *runner.Store
+	observer   func(runner.Event)
+	lifecycle  func(runner.Transition)
+	fault      *fault.Config
+	dataPolicy *rl.PolicySpec
+	ctrPolicy  *rl.PolicySpec
 }
 
 // WithContext binds every simulation the lab runs to ctx: on cancellation
@@ -180,15 +179,6 @@ func WithPolicy(data, ctr *rl.PolicySpec) LabOption {
 	}
 }
 
-// WithParallelCores runs every simulation on the deterministic epoch-barrier
-// parallel engine with up to n worker goroutines (n > 1; see
-// sim.System.SetParallelCores). Results are bit-identical to serial runs, so
-// the knob does not enter the run's content hash — memoised and stored cells
-// are shared across settings.
-func WithParallelCores(n int) LabOption {
-	return func(o *labOptions) { o.parallelCores = n }
-}
-
 // NewLab creates a result-sharing experiment context.
 func NewLab(sc Scale, opts ...LabOption) *Lab {
 	o := labOptions{ctx: context.Background()}
@@ -196,7 +186,7 @@ func NewLab(sc Scale, opts ...LabOption) *Lab {
 		opt(&o)
 	}
 	l := &Lab{Scale: sc, ctx: o.ctx, fault: o.fault, dataPolicy: o.dataPolicy, ctrPolicy: o.ctrPolicy}
-	l.orch = runner.New(runner.Options{Workers: o.workers, Store: o.store, ParallelCores: o.parallelCores})
+	l.orch = runner.New(runner.Options{Workers: o.workers, Store: o.store})
 	l.orch.Observer = o.observer
 	l.orch.Lifecycle = o.lifecycle
 	l.orch.Instrument = func(label string, s *sim.System) func() {

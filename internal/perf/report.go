@@ -40,9 +40,6 @@ type SuiteInfo struct {
 	DecodeOps int     `json:"decode_ops"`
 	E2EScale  float64 `json:"e2e_scale"`
 	Handicap  float64 `json:"handicap,omitempty"` // ratchet self-test knob; 0/1 = none
-	// ParallelCores is the worker budget of the parallel-engine benchmark
-	// (engine.parallel.*); omitted on reports predating that benchmark.
-	ParallelCores int `json:"parallel_cores,omitempty"`
 }
 
 // Report is one BENCH_<n>.json: the committed perf-trajectory unit.

@@ -131,3 +131,43 @@ func TestMetricNamesUnion(t *testing.T) {
 		}
 	}
 }
+
+// TestCommittedBaselinesLoad keeps the committed perf trajectory usable as a
+// ratchet baseline: every BENCH_*.json still parses, and comparing BENCH_8
+// against a report without its retired engine.* metrics marks those rows
+// baseline-only instead of failing the ratchet.
+func TestCommittedBaselinesLoad(t *testing.T) {
+	paths, _ := filepath.Glob("../../BENCH_*.json")
+	if len(paths) == 0 {
+		t.Fatal("no committed BENCH_*.json found")
+	}
+	for _, p := range paths {
+		if _, err := ReadReport(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base, err := ReadReport("../../BENCH_8.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := *base
+	cur.Metrics = nil
+	for _, m := range base.Metrics {
+		if !strings.HasPrefix(m.Name, "engine.") {
+			cur.Metrics = append(cur.Metrics, m)
+		}
+	}
+	c := Compare(base, &cur, CompareOpts{})
+	if c.Regressed() {
+		t.Fatalf("comparison regressed: %+v", c.Deltas)
+	}
+	notes := map[string]string{}
+	for _, d := range c.Deltas {
+		notes[d.Name] = d.Note
+	}
+	for _, name := range []string{"engine.serial.accesses_per_sec", "engine.parallel.accesses_per_sec"} {
+		if notes[name] != "only in baseline" {
+			t.Fatalf("%s: note %q, want \"only in baseline\"", name, notes[name])
+		}
+	}
+}

@@ -42,12 +42,6 @@ type SuiteConfig struct {
 	E2EExperiment string  // default "fig10"
 	E2EScale      float64 // experiments.Scaled factor (0 = SmallScale)
 	Workers       int     // campaign worker pool (default GOMAXPROCS)
-	// ParallelCores is the worker budget of the parallel-engine benchmark
-	// (engine.parallel.accesses_per_sec) — the epoch-barrier engine runs
-	// the same workload as the serial engine with up to this many
-	// goroutines. Default: the machine's core count, capped at the
-	// simulated core count (4).
-	ParallelCores int
 	// Handicap artificially inflates every measured time (and deflates
 	// every throughput) by this factor. It exists to prove the ratchet
 	// trips: `cosmos-perf -handicap 2` must fail against a clean baseline.
@@ -99,15 +93,6 @@ func (c SuiteConfig) withDefaults() SuiteConfig {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.ParallelCores <= 0 {
-		c.ParallelCores = runtime.GOMAXPROCS(0)
-		if c.ParallelCores > 4 {
-			c.ParallelCores = 4
-		}
-		if c.ParallelCores < 2 {
-			c.ParallelCores = 2
-		}
 	}
 	if c.Handicap <= 0 {
 		c.Handicap = 1
@@ -208,29 +193,6 @@ func RunSuite(ctx context.Context, cfg SuiteConfig) (*Report, error) {
 		},
 	})
 
-	// Batched step engine: the same interleaved multi-core workload driven
-	// through RunContext serially and through the epoch-barrier parallel
-	// engine. Both figures use a fresh system per sample; the pair shows
-	// what the parallel mode buys on this machine (identical on a 1-CPU
-	// host, by design — the engines are bit-identical).
-	benches = append(benches, benchmark{
-		label:   "engine",
-		names:   []string{"engine.serial.accesses_per_sec", "engine.parallel.accesses_per_sec"},
-		units:   []string{"accesses/sec", "accesses/sec"},
-		betters: []string{BetterHigher, BetterHigher},
-		run: func(ctx context.Context) ([]float64, error) {
-			serial, err := measureEngine(ctx, cfg, 1)
-			if err != nil {
-				return nil, err
-			}
-			par, err := measureEngine(ctx, cfg, cfg.ParallelCores)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{serial, par}, nil
-		},
-	})
-
 	// End-to-end campaign throughput: a fresh Lab per sample (nothing
 	// memoised between samples) running one whole experiment, measured in
 	// simulated accesses per wall-clock second — the number every
@@ -259,12 +221,11 @@ func RunSuite(ctx context.Context, cfg SuiteConfig) (*Report, error) {
 		CreatedUnix: time.Now().Unix(),
 		Fingerprint: CollectFingerprint(),
 		Suite: SuiteInfo{
-			Samples:       cfg.Samples,
-			StepOps:       cfg.StepOps,
-			WarmSteps:     cfg.WarmSteps,
-			DecodeOps:     cfg.DecodeOps,
-			E2EScale:      cfg.E2EScale,
-			ParallelCores: cfg.ParallelCores,
+			Samples:   cfg.Samples,
+			StepOps:   cfg.StepOps,
+			WarmSteps: cfg.WarmSteps,
+			DecodeOps: cfg.DecodeOps,
+			E2EScale:  cfg.E2EScale,
 		},
 	}
 	if cfg.Handicap != 1 {
@@ -389,37 +350,6 @@ func measureDecode(path string, want int) (float64, error) {
 		return 0, fmt.Errorf("decode finished in non-positive time %v", elapsed)
 	}
 	return float64(n) / elapsed.Seconds(), nil
-}
-
-// engineWorkload is the engine benchmark's access stream: four threads of
-// uniform traffic over a shared region, interleaved in small chunks so the
-// parallel engine's per-core lanes all stay busy within every epoch.
-func engineWorkload() trace.Generator {
-	region := memsys.Region{Base: 1 << 28, Size: 64 << 20, Elem: 1}
-	return trace.NewInterleave("engine-mix", []trace.Generator{
-		trace.NewUniform(region, 20, 3, 1),
-		trace.NewUniform(region, 20, 5, 1),
-		trace.NewUniform(region, 20, 7, 1),
-		trace.NewUniform(region, 20, 9, 1),
-	}, 8)
-}
-
-// measureEngine runs StepOps accesses of the engine workload through a fresh
-// COSMOS system with the given parallel-core budget (1 = serial engine) and
-// returns simulated accesses per wall second.
-func measureEngine(ctx context.Context, cfg SuiteConfig, parallelCores int) (float64, error) {
-	s := sim.New(sim.DefaultConfig(), secmem.DesignCosmos())
-	s.SetParallelCores(parallelCores)
-	ops := uint64(cfg.StepOps)
-	start := time.Now()
-	if _, err := s.RunContext(ctx, trace.Limit(engineWorkload(), ops), ops); err != nil {
-		return 0, err
-	}
-	wall := time.Since(start).Seconds()
-	if wall <= 0 {
-		return 0, fmt.Errorf("engine run finished in non-positive time")
-	}
-	return float64(ops) / wall, nil
 }
 
 // measureCampaign runs one whole experiment on a fresh Lab and returns

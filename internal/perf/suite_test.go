@@ -36,8 +36,6 @@ func TestRunSuiteSmoke(t *testing.T) {
 		"step.COSMOS.policy=perceptron.ns_per_op", "step.COSMOS.policy=perceptron.allocs_per_op",
 		"step.COSMOS.policy=mlp.ns_per_op", "step.COSMOS.policy=mlp.allocs_per_op",
 		"decode.tracefile.accesses_per_sec",
-		"engine.serial.accesses_per_sec",
-		"engine.parallel.accesses_per_sec",
 	}
 	if len(r.Metrics) != len(want) {
 		t.Fatalf("got %d metrics, want %d: %+v", len(r.Metrics), len(want), MetricNames(r))

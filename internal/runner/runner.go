@@ -158,13 +158,6 @@ type Options struct {
 	// Store, when non-nil, persists every executed run and is consulted
 	// before executing.
 	Store *Store
-	// ParallelCores > 1 runs each simulation on the deterministic
-	// epoch-barrier parallel engine with up to that many worker goroutines
-	// (see sim.System.SetParallelCores). It is an execution knob — Results
-	// stay bit-identical — so it is deliberately not part of the spec hash:
-	// runs memoised or restored under one setting satisfy requests under
-	// any other.
-	ParallelCores int
 }
 
 // Executor delegates the execution of a leader run request to an external
@@ -219,8 +212,7 @@ type Orchestrator struct {
 	// Event. Nil keeps runs on the untimed loop.
 	Phases *telemetry.Phases
 
-	workers       int
-	parallelCores int
+	workers int
 
 	mu       sync.Mutex
 	inflight map[string]*call
@@ -241,12 +233,11 @@ func New(opts Options) *Orchestrator {
 		opts.Workers = runtime.NumCPU()
 	}
 	return &Orchestrator{
-		store:         opts.Store,
-		sem:           make(chan struct{}, opts.Workers),
-		workers:       opts.Workers,
-		parallelCores: opts.ParallelCores,
-		inflight:      make(map[string]*call),
-		memo:          make(map[string]sim.Results),
+		store:    opts.Store,
+		sem:      make(chan struct{}, opts.Workers),
+		workers:  opts.Workers,
+		inflight: make(map[string]*call),
+		memo:     make(map[string]sim.Results),
 	}
 }
 
@@ -554,7 +545,6 @@ func (o *Orchestrator) simulate(ctx context.Context, label string, spec Spec) (r
 	}
 
 	s := sim.New(spec.config(), spec.Design)
-	s.SetParallelCores(o.parallelCores)
 	if ph != nil {
 		s.AttachPhases(ph)
 	}

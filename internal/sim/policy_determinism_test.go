@@ -11,8 +11,8 @@ import (
 )
 
 // policyRun executes one COSMOS simulation with the given policy pair on
-// both predictor roles, optionally on the parallel engine.
-func policyRun(t *testing.T, data, ctr *rl.PolicySpec, parallelCores int) Results {
+// both predictor roles.
+func policyRun(t *testing.T, data, ctr *rl.PolicySpec) Results {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.MC.Seed = 42
@@ -29,9 +29,6 @@ func policyRun(t *testing.T, data, ctr *rl.PolicySpec, parallelCores int) Result
 		t.Fatal(err)
 	}
 	s := New(cfg, secmem.DesignCosmos())
-	if parallelCores > 1 {
-		s.SetParallelCores(parallelCores)
-	}
 	return s.Run(trace.Limit(gen, 150000), 150000)
 }
 
@@ -50,23 +47,15 @@ func frozenSpec(t *testing.T, kind string, seed uint64) *rl.PolicySpec {
 
 // TestFrozenPolicyDeterminism pins the policy zoo's core deployment
 // guarantee: a frozen perceptron/MLP pair produces bit-identical Results
-// across repeated runs and across serial vs epoch-barrier parallel engines
-// at any worker count (the -parallel-cores contract extends to every
-// policy kind, not just the tabular default).
+// across repeated runs.
 func TestFrozenPolicyDeterminism(t *testing.T) {
 	for _, kind := range []string{rl.KindPerceptron, rl.KindMLP} {
 		t.Run(kind, func(t *testing.T) {
 			data := frozenSpec(t, kind, 7)
 			ctr := frozenSpec(t, kind, 8)
-			base := policyRun(t, data, ctr, 0)
-			if again := policyRun(t, data, ctr, 0); !reflect.DeepEqual(again, base) {
-				t.Errorf("frozen %s drifted across serial runs:\n  %+v\nvs\n  %+v", kind, base, again)
-			}
-			for _, cores := range []int{2, 4} {
-				if par := policyRun(t, data, ctr, cores); !reflect.DeepEqual(par, base) {
-					t.Errorf("frozen %s differs on parallel engine (%d workers):\n  %+v\nvs\n  %+v",
-						kind, cores, base, par)
-				}
+			base := policyRun(t, data, ctr)
+			if again := policyRun(t, data, ctr); !reflect.DeepEqual(again, base) {
+				t.Errorf("frozen %s drifted across runs:\n  %+v\nvs\n  %+v", kind, base, again)
 			}
 		})
 	}
@@ -80,12 +69,9 @@ func TestOnlinePolicyDeterminism(t *testing.T) {
 	for _, kind := range []string{rl.KindPerceptron, rl.KindMLP} {
 		t.Run(kind, func(t *testing.T) {
 			spec := &rl.PolicySpec{Kind: kind}
-			base := policyRun(t, spec, spec, 0)
-			if again := policyRun(t, spec, spec, 0); !reflect.DeepEqual(again, base) {
+			base := policyRun(t, spec, spec)
+			if again := policyRun(t, spec, spec); !reflect.DeepEqual(again, base) {
 				t.Errorf("online %s drifted across runs", kind)
-			}
-			if par := policyRun(t, spec, spec, 4); !reflect.DeepEqual(par, base) {
-				t.Errorf("online %s differs on parallel engine", kind)
 			}
 		})
 	}

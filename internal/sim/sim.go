@@ -183,21 +183,12 @@ type System struct {
 	specs      []LevelSpec
 	lats       []uint64 // specs[i].Lat, indexed like chains[c]
 	sharedFrom int
-	// sharedSink is what the last private level drains into: the top
-	// shared level, or the terminal when every level is private. The
-	// batched engine replays deferred shared writebacks into it.
-	sharedSink memsys.Level
 	mc         *secmem.Engine
 	terminal   *secmem.Level
 
 	// plan is the per-design fetch-plan profile, precomputed at New so
 	// planFetch does not re-derive the design/region decision per miss.
 	plan planProfile
-
-	// parallelCores > 1 selects the epoch-barrier parallel engine for
-	// RunContext (see parallel.go); Results stay bit-identical.
-	parallelCores int
-	par           *parEngine
 
 	l1Lat   uint64 // level-0 lookup cost, charged on every access
 	walkLat uint64 // serial cost of the levels below level 0
@@ -283,10 +274,6 @@ func New(cfg Config, design secmem.Design) *System {
 		}
 		s.chains[c] = chain
 	}
-	// What the private prefix drains into: the top shared level, or the
-	// terminal when every level is private (empty shared tail).
-	s.sharedSink = sharedTop
-
 	s.plan = newPlanProfile(cfg, design)
 
 	s.lats = make([]uint64, len(s.specs))
@@ -320,20 +307,6 @@ func (s *System) Chain(c int) []memsys.Level {
 	}
 	return out
 }
-
-// SetParallelCores selects the execution engine RunContext uses: n > 1
-// enables the deterministic epoch-barrier parallel engine with up to n
-// worker goroutines (capped at the config's core count); 0 or 1 keeps the
-// serial engine. Results are bit-identical either way — the knob trades
-// wall-clock for CPUs, never semantics — so it is deliberately not part of
-// the runner's spec hash. The parallel engine silently falls back to serial
-// when it cannot preserve bit-identicality or has nothing to parallelise:
-// single-core configs, hierarchies with no private levels, or an attached
-// interval sampler or span recorder (both observe per-access state).
-func (s *System) SetParallelCores(n int) { s.parallelCores = n }
-
-// ParallelCores reports the configured engine knob (see SetParallelCores).
-func (s *System) ParallelCores() int { return s.parallelCores }
 
 // Terminal returns the secure-memory level the last on-chip level drains
 // into.
@@ -407,12 +380,10 @@ func (s *System) AttachSpans(rec *telemetry.SpanRecorder) {
 // (generator NextBlock), step (the simulator loop) and report (sampler
 // flush + Results assembly) wall time plus a simulated-access count
 // accumulate into p, which may be shared across systems (campaign-level
-// attribution). Both engines time each decode block (serial) or epoch
-// (parallel) once per phase from the driving goroutine — per-core workers
-// never touch the accumulator, so parallel runs merge instead of racing —
-// and the access order, the Results and the per-step semantics are
-// identical to an unattributed run while the timing overhead stays at two
-// clock reads per block. Nil (the default) skips the clock reads.
+// attribution). RunContext times each decode block once per phase, so the
+// access order, the Results and the per-step semantics are identical to an
+// unattributed run while the timing overhead stays at two clock reads per
+// block. Nil (the default) skips the clock reads.
 func (s *System) AttachPhases(p *telemetry.Phases) { s.phases = p }
 
 // phaseBlock is the decode-ahead block size of the serial run loop.
@@ -603,9 +574,9 @@ func (s *System) Run(gen trace.Generator, maxAccesses uint64) Results {
 }
 
 // CancelCheckEvery bounds the cancellation latency of RunContext: the
-// context is consulted at least once per this many steps (the engines poll
-// per decode block or per epoch, both smaller or equal), so a cancellation
-// lands mid-simulation after at most this many additional accesses.
+// context is consulted at least once per this many steps (RunContext polls
+// once per decode block of phaseBlock accesses), so a cancellation lands
+// mid-simulation after at most this many additional accesses.
 const CancelCheckEvery = 4096
 
 // RunContext is Run with cooperative cancellation and block decoding:
@@ -617,15 +588,8 @@ const CancelCheckEvery = 4096
 // cancellation the partial Results accumulated so far are returned together
 // with ctx.Err(); a Background (or otherwise non-cancellable) context costs
 // nothing — its nil Done channel skips the poll entirely.
-//
-// When SetParallelCores enabled the parallel engine (and no sampler is
-// attached), the run is delegated to the epoch-barrier engine in
-// parallel.go; Results are bit-identical either way.
 func (s *System) RunContext(ctx context.Context, gen trace.Generator, maxAccesses uint64) (Results, error) {
 	defer trace.CloseIfCloser(gen)
-	if s.parallelEligible() {
-		return s.runParallel(ctx, gen, maxAccesses)
-	}
 	done := ctx.Done()
 	timed := s.phases != nil
 	var t0, t1 time.Time
