@@ -3,7 +3,6 @@ package workloads
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"cosmos/internal/graph"
 	"cosmos/internal/trace"
@@ -59,25 +58,23 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// graphCache memoises generated graphs: every experiment sweep reuses the
-// same graph, and the 2M-node default holds about 136 MB of CSR arrays, so
-// each (nodes, degree, seed) is built once per process and shared.
-var graphCache sync.Map // key string -> *graphEntry
-
-type graphEntry struct {
-	once sync.Once
-	g    *graph.Graph
+type graphKey struct {
+	nodes, degree int
+	seed          uint64
 }
+
+// graphs memoises generated graphs: every experiment sweep reuses the same
+// graph, and the 2M-node default holds about 136 MB of CSR arrays, so each
+// (nodes, degree, seed) is built once per process and shared.
+var graphs memo[graphKey, *graph.Graph]
 
 // Graph returns the Barabási–Albert graph for (nodes, degree, seed). The
 // first caller builds it; concurrent callers for the same key wait for that
 // build and share its result.
 func Graph(nodes, degree int, seed uint64) *graph.Graph {
-	key := fmt.Sprintf("%d/%d/%d", nodes, degree, seed)
-	v, _ := graphCache.LoadOrStore(key, new(graphEntry))
-	e := v.(*graphEntry)
-	e.once.Do(func() { e.g = graph.NewBarabasiAlbert(nodes, degree, seed) })
-	return e.g
+	return graphs.get(graphKey{nodes, degree, seed}, func() *graph.Graph {
+		return graph.NewBarabasiAlbert(nodes, degree, seed)
+	})
 }
 
 // BuildGraph constructs one of the eight graph workloads over a cached

@@ -33,7 +33,36 @@ func interleaved(name string, threads int, chunk int, mk func(t int) func(emit f
 			})
 		})
 	}
-	return trace.NewInterleave(name, gens, 64)
+	return trace.NewInterleave(name, gens, chunk)
+}
+
+type arcKey struct {
+	arcs int
+	seed uint64
+}
+
+// arcChains memoises mcf's arc chains: every design in a sweep walks the
+// same 32 MB chain of the 8M-arc default, so each (arcs, seed) is shuffled
+// once per process and shared. MCF generators only read it.
+var arcChains memo[arcKey, []uint32]
+
+// arcChain returns mcf's arc chain for (arcs, seed): a single-cycle random
+// permutation (Sattolo), so the dependent walk covers the whole arc array
+// instead of collapsing into a short rho-cycle the caches would trivially
+// absorb.
+func arcChain(arcs int, seed uint64) []uint32 {
+	return arcChains.get(arcKey{arcs, seed}, func() []uint32 {
+		next := make([]uint32, arcs)
+		for i := range next {
+			next[i] = uint32(i)
+		}
+		prng := rl.NewRand(seed ^ 0x5ca770)
+		for i := arcs - 1; i > 0; i-- {
+			j := prng.Intn(i)
+			next[i], next[j] = next[j], next[i]
+		}
+		return next
+	})
 }
 
 // MCF emulates SPEC mcf's network-simplex core: a large arc array and node
@@ -45,18 +74,7 @@ func MCF(nodes, arcs int, threads int, seed uint64) trace.Generator {
 	nodeReg := l.Alloc("nodes", uint64(nodes), 64) // fat node records
 	arcReg := l.Alloc("arcs", uint64(arcs), 32)
 
-	// The arc chain is a single-cycle random permutation (Sattolo), so the
-	// dependent walk covers the whole arc array instead of collapsing into
-	// a short rho-cycle the caches would trivially absorb.
-	next := make([]uint32, arcs)
-	for i := range next {
-		next[i] = uint32(i)
-	}
-	prng := rl.NewRand(seed ^ 0x5ca770)
-	for i := arcs - 1; i > 0; i-- {
-		j := prng.Intn(i)
-		next[i], next[j] = next[j], next[i]
-	}
+	next := arcChain(arcs, seed)
 
 	return interleaved("mcf", threads, 64, func(t int) func(emit func(memsys.Access)) {
 		return func(emit func(memsys.Access)) {
