@@ -97,3 +97,123 @@ func TestLCRStorageConstant(t *testing.T) {
 		t.Fatalf("LCR metadata is %d bits/line, Table 2 says 9", StorageBitsPerLine)
 	}
 }
+
+// refLCR is a naive model of Algorithm 2: per-line flag, score and stamp
+// kept as plain fields, and a victim chosen in two passes with explicit
+// tie-breaks instead of LCR's packed one-pass keys.
+type refLCR struct {
+	ways  int
+	lines []refLCRLine
+	clock uint64
+}
+
+type refLCRLine struct {
+	good  bool
+	score uint8
+	stamp uint64
+}
+
+func (r *refLCR) touch(set, way int) {
+	r.clock++
+	r.lines[set*r.ways+way].stamp = r.clock
+}
+
+// victim picks the bad line with the highest score, else the good line
+// with the lowest score; ties go to the older stamp.
+func (r *refLCR) victim(set int) int {
+	s := r.lines[set*r.ways : (set+1)*r.ways]
+	v := -1
+	for w, l := range s {
+		if l.good {
+			continue
+		}
+		if v < 0 || l.score > s[v].score || l.score == s[v].score && l.stamp < s[v].stamp {
+			v = w
+		}
+	}
+	if v >= 0 {
+		return v
+	}
+	for w, l := range s {
+		if v < 0 || l.score < s[v].score || l.score == s[v].score && l.stamp < s[v].stamp {
+			v = w
+		}
+	}
+	return v
+}
+
+// lcrTee drives LCR and refLCR in lockstep behind one cache and checks
+// that they agree on every victim.
+type lcrTee struct {
+	t       *testing.T
+	lcr     *LCR
+	ref     refLCR
+	victims int
+}
+
+func (p *lcrTee) Name() string { return "LCR-tee" }
+
+func (p *lcrTee) Reset(sets, ways int) {
+	p.lcr.Reset(sets, ways)
+	p.ref = refLCR{ways: ways, lines: make([]refLCRLine, sets*ways)}
+}
+
+func (p *lcrTee) OnHit(set, way int, ev Event) {
+	p.lcr.OnHit(set, way, ev)
+	p.ref.touch(set, way)
+}
+
+func (p *lcrTee) OnInsert(set, way int, ev Event) {
+	p.lcr.OnInsert(set, way, ev)
+	p.ref.lines[set*p.ref.ways+way] = refLCRLine{score: 128}
+	p.ref.touch(set, way)
+}
+
+func (p *lcrTee) OnEvict(set, way int) { p.lcr.OnEvict(set, way) }
+
+func (p *lcrTee) SetHint(set, way int, good bool, score uint8) {
+	p.lcr.SetHint(set, way, good, score)
+	l := &p.ref.lines[set*p.ref.ways+way]
+	l.good, l.score = good, score
+}
+
+func (p *lcrTee) Victim(set int) int {
+	got, want := p.lcr.Victim(set), p.ref.victim(set)
+	if got != want {
+		p.t.Fatalf("set %d: LCR victim = way %d, reference = way %d (%+v)",
+			set, got, want, p.ref.lines[set*p.ref.ways:(set+1)*p.ref.ways])
+	}
+	p.victims++
+	return got
+}
+
+// TestLCRMatchesReference drives a 16-way LCR cache with random fills, hits
+// and hints. Scores are drawn from a few values so that score ties, broken
+// by stamp, are common.
+func TestLCRMatchesReference(t *testing.T) {
+	const sets, ways = 4, 16
+	tee := &lcrTee{t: t, lcr: NewLCR()}
+	c := New("c", sets*ways*64, ways, tee)
+	rng := rl.NewRand(33)
+	score := func() uint8 {
+		if rng.Intn(4) == 0 {
+			return uint8(rng.Intn(256))
+		}
+		return uint8(rng.Intn(4)) * 85
+	}
+	for i := 0; i < 200_000; i++ {
+		r := c.Access(rng.Uint64()%(4*sets*ways), rng.Intn(3) == 0, 0)
+		if rng.Intn(4) != 0 {
+			tee.SetHint(r.Set, r.Way, rng.Intn(3) == 0, score())
+		}
+		if rng.Intn(8) == 0 {
+			tee.SetHint(rng.Intn(sets), rng.Intn(ways), rng.Intn(2) == 0, score())
+		}
+		if i > sets*ways*4 && rng.Intn(16) == 0 {
+			tee.Victim(rng.Intn(sets))
+		}
+	}
+	if tee.victims < 10_000 {
+		t.Fatalf("only %d victims compared", tee.victims)
+	}
+}

@@ -187,9 +187,18 @@ const (
 	leaseErr
 )
 
+// leaseTimeout bounds one lease request, which a drain does not cut short.
+const leaseTimeout = 10 * time.Second
+
 func (w *Worker) lease(ctx context.Context) (leaseResponse, leaseState, error) {
 	var resp leaseResponse
-	status, body, err := w.post(ctx, "/coord/lease", leaseRequest{Worker: w.cfg.Name})
+	// A drain that cancelled the request after the coordinator granted
+	// would drop the grant, stranding the cell until its TTL expires. So
+	// the request outlives ctx, and process hands back a grant that
+	// arrives after the drain.
+	lctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), leaseTimeout)
+	defer cancel()
+	status, body, err := w.post(lctx, "/coord/lease", leaseRequest{Worker: w.cfg.Name})
 	if err != nil {
 		if lost := w.checkBudget(); lost != nil {
 			return resp, leaseErr, lost

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -116,6 +117,65 @@ func TestWorkerDrainOnCancel(t *testing.T) {
 	}
 }
 
+// TestWorkerReleasesGrantOnDrain: a drain that lands after the coordinator
+// grants a lease, but before the worker has the response, must still hand
+// the lease back rather than strand the cell until its TTL expires.
+func TestWorkerReleasesGrantOnDrain(t *testing.T) {
+	c, _ := newTestCoordinator(t, newFakeClock())
+	mux := http.NewServeMux()
+	c.Mount(mux)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var once sync.Once
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, r)
+		if r.URL.Path == "/coord/lease" && rec.Code == http.StatusOK {
+			once.Do(func() {
+				cancel()
+				// The response is still in flight when the drain lands.
+				time.Sleep(20 * time.Millisecond)
+			})
+		}
+		for k, v := range rec.Header() {
+			rw.Header()[k] = v
+		}
+		rw.WriteHeader(rec.Code)
+		rw.Write(rec.Body.Bytes())
+	}))
+	t.Cleanup(srv.Close)
+
+	w := newTestWorker(t, srv.URL, "w1", func(cfg *WorkerConfig) { cfg.Concurrency = 1 })
+	workerDone := make(chan error, 1)
+	go func() { workerDone <- w.Run(ctx) }()
+
+	spec := testSpec(14)
+	spec.Accesses = 5_000_000
+	execCtx, execCancel := context.WithCancel(context.Background())
+	defer execCancel()
+	go c.Execute(execCtx, spec.Key(), "long", spec, nil)
+
+	select {
+	case err := <-workerDone:
+		if err != nil {
+			t.Fatalf("drain returned %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker did not drain")
+	}
+	// The fake clock never advances, so only a release can re-queue the cell.
+	deadline := time.Now().Add(3 * time.Second)
+	for s := c.Status(); s.Pending != 1 || s.Leased != 0; s = c.Status() {
+		if time.Now().After(deadline) {
+			t.Fatalf("status = %+v, want the granted lease released", s)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if s := c.Status(); s.Released != 1 || s.Expired != 0 {
+		t.Fatalf("status = %+v, want 1 release and no expiries", s)
+	}
+}
+
 // TestWorkerLostCoordinator: a coordinator that never answers exhausts the
 // reconnect budget and Run fails with ErrLostCoordinator.
 func TestWorkerLostCoordinator(t *testing.T) {
@@ -163,12 +223,15 @@ func TestWorkerReleasesOnDrain(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("worker did not drain")
 	}
-	// The lease came back without any clock advance (no TTL expiry).
+	// The lease came back without any clock advance (no TTL expiry). The
+	// other slot's lease request may have been in flight when the drain
+	// began and been granted the released cell; it must hand that grant
+	// back too, so every grant ends in a release.
 	waitFor(t, func() bool {
 		s := c.Status()
 		return s.Pending == 1 && s.Leased == 0
 	})
-	if s := c.Status(); s.Released != 1 || s.Expired != 0 {
-		t.Fatalf("status = %+v, want 1 release and no expiries", s)
+	if s := c.Status(); s.Released == 0 || s.Released != s.Granted || s.Expired != 0 {
+		t.Fatalf("status = %+v, want every grant released and no expiries", s)
 	}
 }

@@ -72,7 +72,7 @@ func TestBlockDecodeMatchesScalar(t *testing.T) {
 		},
 	}
 	for name, build := range mk {
-		for _, block := range []int{1, 3, 64, 333, 4096} {
+		for _, block := range []int{1, 3, 64, 333, 1023, 1024, 1025, 4096} {
 			a := build()
 			b := build()
 			want := collectNext(a, n)

@@ -250,11 +250,15 @@ func (iv *Interleave) Close() {
 
 // --- goroutine-backed producer ---
 
-const producerBatch = 4096
+// producerBatch is the size of each of a producer's two batch buffers.
+const producerBatch = 1024
 
 // FromFunc adapts a push-style workload (a function that calls emit for each
 // access) into a pull-style Generator. The workload runs in its own
-// goroutine; batches flow over a channel. Close cancels the producer.
+// goroutine, on demand: two batch buffers circulate between it and the
+// consumer, and handing back a drained buffer is the request for the next
+// batch, so the workload runs at most one batch ahead of its consumer.
+// Close cancels the producer.
 func FromFunc(name string, run func(emit func(memsys.Access))) Generator {
 	return &funcGen{name: name, run: run}
 }
@@ -262,8 +266,8 @@ func FromFunc(name string, run func(emit func(memsys.Access))) Generator {
 type funcGen struct {
 	name    string
 	run     func(emit func(memsys.Access))
-	ch      chan []memsys.Access
-	free    chan []memsys.Access // consumed batches recycled to the producer
+	filled  chan []memsys.Access // producer → consumer: a filled batch
+	empty   chan []memsys.Access // consumer → producer: a drained batch, the request for the next
 	done    chan struct{}
 	started bool
 	buf     []memsys.Access
@@ -273,18 +277,22 @@ type funcGen struct {
 
 func (f *funcGen) Name() string { return f.name }
 
-// errProducerCancelled is the sentinel panic value used to unwind a
-// workload whose consumer closed the generator early. Workloads are often
-// infinite loops, so cancellation must forcibly unwind them.
+// producerCancelled is the sentinel panic value used to unwind a workload
+// whose consumer closed the generator early. Workloads are often infinite
+// loops, so cancellation must forcibly unwind them.
 type producerCancelled struct{}
 
+// start launches the producer and hands it both buffers: one request for
+// the batch the consumer reads first, one for the batch after it.
 func (f *funcGen) start() {
-	f.ch = make(chan []memsys.Access, 4)
-	f.free = make(chan []memsys.Access, 8)
+	f.filled = make(chan []memsys.Access, 2)
+	f.empty = make(chan []memsys.Access, 2)
 	f.done = make(chan struct{})
 	f.started = true
+	f.empty <- make([]memsys.Access, 0, producerBatch)
+	f.empty <- make([]memsys.Access, 0, producerBatch)
 	go func() {
-		defer close(f.ch)
+		defer close(f.filled)
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(producerCancelled); !ok {
@@ -292,88 +300,64 @@ func (f *funcGen) start() {
 				}
 			}
 		}()
-		batch := make([]memsys.Access, 0, producerBatch)
-		flush := func() {
-			if len(batch) == 0 {
-				return
-			}
-			out := batch
-			// Reuse a batch the consumer has drained; batch buffers are
-			// handed over whole, so a recycled one is never still in use.
-			select {
-			case b := <-f.free:
-				batch = b[:0]
-			default:
-				batch = make([]memsys.Access, 0, producerBatch)
-			}
-			select {
-			case f.ch <- out:
-			case <-f.done:
-				panic(producerCancelled{})
-			}
-		}
+		var batch []memsys.Access
 		emit := func(a memsys.Access) {
+			if batch == nil {
+				select {
+				case batch = <-f.empty:
+				case <-f.done:
+					panic(producerCancelled{})
+				}
+			}
 			batch = append(batch, a)
 			if len(batch) == producerBatch {
-				flush()
+				// Never blocks: only two buffers exist and filled holds
+				// two, so there is always room for the one in hand.
+				f.filled <- batch
+				batch = nil
 			}
 		}
 		f.run(emit)
-		flush()
+		if len(batch) > 0 {
+			f.filled <- batch
+		}
 	}()
 }
 
-func (f *funcGen) Next() (memsys.Access, bool) {
-	if f.eof {
-		return memsys.Access{}, false
-	}
+// refill hands the drained batch back to the producer — the request for
+// the next one — and waits for a filled batch. It reports false at the end
+// of the stream.
+func (f *funcGen) refill() bool {
 	if !f.started {
 		f.start()
 	}
-	for f.pos >= len(f.buf) {
-		f.recycle()
-		b, ok := <-f.ch
-		if !ok {
-			f.eof = true
-			return memsys.Access{}, false
-		}
-		f.buf, f.pos = b, 0
+	if f.buf != nil {
+		f.empty <- f.buf[:0] // never blocks: empty holds both buffers
+	}
+	b, ok := <-f.filled
+	if !ok {
+		f.eof, f.buf = true, nil
+		return false
+	}
+	f.buf, f.pos = b, 0
+	return true
+}
+
+func (f *funcGen) Next() (memsys.Access, bool) {
+	if f.eof || f.pos >= len(f.buf) && !f.refill() {
+		return memsys.Access{}, false
 	}
 	a := f.buf[f.pos]
 	f.pos++
 	return a, true
 }
 
-// recycle hands the drained batch back to the producer's free list.
-func (f *funcGen) recycle() {
-	if f.buf == nil {
-		return
-	}
-	select {
-	case f.free <- f.buf:
-	default:
-	}
-	f.buf = nil
-}
-
 // NextBlock implements BlockGenerator: it bulk-copies from the producer's
 // current batch, returning a short block at batch boundaries instead of
-// blocking on the channel for more.
+// waiting for the batch after it.
 func (f *funcGen) NextBlock(dst []memsys.Access) int {
-	if f.eof {
+	if f.eof || f.pos >= len(f.buf) && !f.refill() {
 		return 0
-	}
-	if !f.started {
-		f.start()
-	}
-	for f.pos >= len(f.buf) {
-		f.recycle()
-		b, ok := <-f.ch
-		if !ok {
-			f.eof = true
-			return 0
-		}
-		f.buf, f.pos = b, 0
 	}
 	n := copy(dst, f.buf[f.pos:])
 	f.pos += n
@@ -387,7 +371,7 @@ func (f *funcGen) Close() {
 	}
 	close(f.done)
 	// Drain until the producer closes the channel.
-	for range f.ch {
+	for range f.filled {
 	}
 	f.eof = true
 }

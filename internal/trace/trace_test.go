@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"cosmos/internal/memsys"
 )
@@ -213,6 +216,66 @@ func TestFromFuncCloseCancels(t *testing.T) {
 	CloseIfCloser(g) // must not deadlock
 	if _, ok := g.Next(); ok {
 		t.Fatal("closed generator must be exhausted")
+	}
+}
+
+// countingProgram is an endless FromFunc workload that counts the
+// accesses it has emitted.
+func countingProgram(emitted *atomic.Int64) func(emit func(memsys.Access)) {
+	return func(emit func(memsys.Access)) {
+		for i := uint64(0); i < 1<<24; i++ {
+			emitted.Add(1)
+			emit(memsys.Access{Addr: memsys.Addr(i)})
+		}
+	}
+}
+
+// TestFromFuncRunAhead: the producer fills a batch only when the consumer
+// asks for one, so a paused consumer holds the program at most two batches
+// ahead of what it has taken.
+func TestFromFuncRunAhead(t *testing.T) {
+	var emitted atomic.Int64
+	g := FromFunc("counting", countingProgram(&emitted))
+	defer CloseIfCloser(g)
+	buf := make([]memsys.Access, 100)
+	taken := 0
+	for _, k := range []int{1, 1000, producerBatch, 5000, 20000} {
+		for taken < k {
+			want := k - taken
+			if want > len(buf) {
+				want = len(buf)
+			}
+			taken += NextBlock(g, buf[:want])
+		}
+		time.Sleep(20 * time.Millisecond) // let an eager producer run ahead
+		if got := emitted.Load(); got > int64(taken+2*producerBatch) {
+			t.Fatalf("after taking %d accesses the program emitted %d, want at most %d",
+				taken, got, taken+2*producerBatch)
+		}
+	}
+}
+
+// TestFromFuncCloseLeaksNoGoroutine: closing a started producer that is
+// blocked waiting for a drained buffer unwinds its goroutine.
+func TestFromFuncCloseLeaksNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var emitted atomic.Int64
+	g := FromFunc("counting", countingProgram(&emitted))
+	if _, ok := g.Next(); !ok {
+		t.Fatal("first access should arrive")
+	}
+	// Both buffers filled: the producer now waits for the consumer.
+	for emitted.Load() < 2*producerBatch {
+		time.Sleep(time.Millisecond)
+	}
+	CloseIfCloser(g)
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the producer started",
+				runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
