@@ -257,7 +257,7 @@ func (c *Cache) RegisterMetrics(s *telemetry.Scope) {
 // Access performs a load or store of the given cache-line number, filling on
 // miss and evicting per the policy. sig tags the access's code region.
 func (c *Cache) Access(lineNum uint64, write bool, sig uint16) Result {
-	hit, set, way, evLine, ev, evDirty := c.probe(lineNum, write, sig)
+	hit, set, way, evLine, ev, evDirty := c.probe(lineNum, write, sig, true)
 	return Result{Hit: hit, Set: set, Way: way, Evicted: ev, EvictedLine: evLine, EvictedDirty: evDirty}
 }
 
@@ -265,7 +265,12 @@ func (c *Cache) Access(lineNum uint64, write bool, sig uint16) Result {
 // outcome comes back in registers instead of a Result struct, which is what
 // the Level.Probe hot path wants — the struct fill-and-copy is measurable at
 // simulator access rates. Exported callers go through the Access wrapper.
-func (c *Cache) probe(lineNum uint64, write bool, sig uint16) (hit bool, set, way int, evictedLine uint64, evicted, evictedDirty bool) {
+//
+// evictedLine is reconstructed from the victim's tag only when the victim
+// is dirty or wantLine is set: a clean victim's line is needed by nobody on
+// the hierarchy hot path, and skipping the tag load saves a likely cache
+// miss per eviction. Otherwise it is 0.
+func (c *Cache) probe(lineNum uint64, write bool, sig uint16, wantLine bool) (hit bool, set, way int, evictedLine uint64, evicted, evictedDirty bool) {
 	if lineNum == c.lastLine {
 		// MRU repeat: resident and already MRU — the lookup and the
 		// recency touch are both no-ops.
@@ -311,10 +316,12 @@ func (c *Cache) probe(lineNum uint64, write bool, sig uint16) (hit bool, set, wa
 		}
 		c.Stats.Evictions++
 		evicted = true
-		evictedLine = c.tags[base+way]<<c.shift | uint64(set)
 		evictedDirty = c.dirty[set]>>uint(way)&1 != 0
 		if evictedDirty {
 			c.Stats.Writebacks++
+		}
+		if evictedDirty || wantLine {
+			evictedLine = c.tags[base+way]<<c.shift | uint64(set)
 		}
 		if c.lru == nil {
 			c.pol.OnEvict(set, way)

@@ -11,12 +11,39 @@ package cache
 //     (least confidently good).
 //
 // Falling back to LRU order breaks ties so behaviour stays deterministic.
+//
+// Each line's flag, score and last-touch stamp live in one packed uint64
+// key, ordered so that the victim is simply the smallest key of the set:
+//
+//	bit  63     good flag (1 = good locality)
+//	bits 55-62  rank: 255-score for a bad line, score for a good one
+//	bits  0-54  stamp (the LRU clock at the line's last touch)
+//
+// Any bad line sorts below every good line; among bad lines the highest
+// score has the lowest rank, among good lines the lowest score does; equal
+// ranks fall to the older stamp. Every touch draws a fresh clock value, so
+// the valid lines of a full set carry distinct stamps, their keys are
+// distinct, and the minimum names exactly one way — the same way the
+// two-pass form of Algorithm 2 picks. The 55-bit stamp wraps only after
+// 3.6×10^16 touches, far beyond any run.
 type LCR struct {
 	ways  int
-	flag  []bool
-	score []uint8
-	stamp []uint64
+	key   []uint64 // sets*ways packed keys, row-major
 	clock uint64
+}
+
+const (
+	lcrGood      = 1 << 63
+	lcrRankShift = 55
+	lcrStampMask = 1<<lcrRankShift - 1
+)
+
+// lcrKey encodes a flag and score into the key's flag and rank fields.
+func lcrKey(good bool, score uint8) uint64 {
+	if good {
+		return lcrGood | uint64(score)<<lcrRankShift
+	}
+	return uint64(255-score) << lcrRankShift
 }
 
 // NewLCR returns the LCR policy. Lines inserted before any hint arrives are
@@ -30,16 +57,18 @@ func (p *LCR) Name() string { return "LCR" }
 // Reset implements Policy.
 func (p *LCR) Reset(sets, ways int) {
 	p.ways = ways
-	n := sets * ways
-	p.flag = make([]bool, n)
-	p.score = make([]uint8, n)
-	p.stamp = make([]uint64, n)
+	p.key = make([]uint64, sets*ways)
+	for i := range p.key {
+		p.key[i] = lcrKey(false, 0) // never touched: bad, score 0, stamp 0
+	}
 	p.clock = 0
 }
 
+// touch replaces the line's stamp, keeping its flag and rank.
 func (p *LCR) touch(set, way int) {
 	p.clock++
-	p.stamp[set*p.ways+way] = p.clock
+	i := set*p.ways + way
+	p.key[i] = p.key[i]&^lcrStampMask | p.clock
 }
 
 // OnHit implements Policy.
@@ -48,10 +77,8 @@ func (p *LCR) OnHit(set, way int, _ Event) { p.touch(set, way) }
 // OnInsert implements Policy: default to bad locality / neutral score until
 // the predictor hint lands.
 func (p *LCR) OnInsert(set, way int, _ Event) {
-	i := set*p.ways + way
-	p.flag[i] = false
-	p.score[i] = 128
-	p.touch(set, way)
+	p.clock++
+	p.key[set*p.ways+way] = lcrKey(false, 128) | p.clock
 }
 
 // OnEvict implements Policy.
@@ -59,52 +86,35 @@ func (p *LCR) OnEvict(int, int) {}
 
 // SetHint attaches the predictor's locality classification to a resident
 // line: good=true marks good locality; score is the 8-bit confidence from
-// the CTR Q-table.
+// the CTR Q-table. The line's stamp is kept.
 func (p *LCR) SetHint(set, way int, good bool, score uint8) {
 	i := set*p.ways + way
-	p.flag[i] = good
-	p.score[i] = score
+	p.key[i] = lcrKey(good, score) | p.key[i]&lcrStampMask
 }
 
 // Hint reports the current flag/score of a line (for tests and stats).
 func (p *LCR) Hint(set, way int) (good bool, score uint8) {
-	i := set*p.ways + way
-	return p.flag[i], p.score[i]
+	k := p.key[set*p.ways+way]
+	good = k&lcrGood != 0
+	score = uint8(k >> lcrRankShift)
+	if !good {
+		score = 255 - score
+	}
+	return good, score
 }
 
-// Victim implements Algorithm 2: a bad-locality line with the highest score
-// wins eviction; when every line is good, the lowest score loses (ties break
-// to the older stamp). Both candidates are tracked in one pass — the good
-// candidate only matters when no bad line exists, i.e. when every way is
-// good, so restricting it to good ways is equivalent to the two-pass form.
-// Score and stamp are packed into one comparison key per way (score in the
-// top bits, stamp below), so each way costs a single compare: maximizing
-// score|^stamp prefers the higher bad score and, on equal scores, the older
-// stamp; minimizing score|stamp does the mirror image for good lines. The
-// 56-bit stamp field wraps only after 7×10^16 touches, far beyond any run.
+// Victim implements Algorithm 2 as one minimum over the set's keys (see the
+// encoding above). Keys tie only between never-touched lines (stamp 0);
+// the lowest such way wins, as in the two-pass form.
 func (p *LCR) Victim(set int) int {
-	const stampMask = 1<<56 - 1
-	base := set * p.ways
-	evictBad, evictGood := -1, -1
-	var bestBad, bestGood uint64
-	for w := 0; w < p.ways; w++ {
-		i := base + w
-		if !p.flag[i] {
-			k := uint64(p.score[i])<<56 | ^p.stamp[i]&stampMask
-			if evictBad < 0 || k > bestBad {
-				evictBad, bestBad = w, k
-			}
-		} else {
-			k := uint64(p.score[i])<<56 | p.stamp[i]&stampMask
-			if evictGood < 0 || k < bestGood {
-				evictGood, bestGood = w, k
-			}
+	keys := p.key[set*p.ways : (set+1)*p.ways]
+	victim, best := 0, keys[0]
+	for w := 1; w < len(keys); w++ {
+		if k := keys[w]; k < best {
+			victim, best = w, k
 		}
 	}
-	if evictBad >= 0 {
-		return evictBad
-	}
-	return evictGood
+	return victim
 }
 
 // StorageBitsPerLine is the LCR metadata cost per cache line (Table 2:

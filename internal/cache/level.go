@@ -40,10 +40,11 @@ func (l *Level) Latency() uint64 { return l.lat }
 // lookup, fill on miss, dirty-victim cascade — without Request/Response
 // struct traffic or interface dispatch at the call site. The simulator's
 // step engine calls it on concrete *Level chains; adapters and the fault
-// plane keep using Access.
+// plane keep using Access. Only a dirty victim's line is needed here, so a
+// clean eviction skips reading the victim's tag.
 func (l *Level) Probe(line uint64, write bool, sig uint16, core int, now uint64) bool {
-	hit, _, _, evLine, evicted, evDirty := l.cache.probe(line, write, sig)
-	if evicted && evDirty && l.down != nil {
+	hit, _, _, evLine, _, evDirty := l.cache.probe(line, write, sig, false)
+	if evDirty && l.down != nil {
 		l.down.Writeback(memsys.Request{
 			Line:  evLine,
 			Write: true,
