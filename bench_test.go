@@ -111,10 +111,10 @@ func BenchmarkStep(b *testing.B) {
 // regression. It covers the baseline walk (NP), the serialised secure path
 // (MorphCtr), the always-early counter path (EMCC) and COSMOS with each
 // policy kind in both predictor roles: the Request/Response/fetchPath
-// plumbing is all value-typed. The systems run with no sampler, tracer,
-// histogram or span recorder attached (the default), so this is also the
-// telemetry-disabled contract: every observation site must stay behind a
-// nil check and cost zero allocations when it is off.
+// plumbing is all value-typed. The systems run with no sampler or span
+// recorder attached (the default), so this is also the telemetry-disabled
+// contract: every observation site must stay behind a nil check and cost
+// zero allocations when it is off.
 func TestStepZeroAllocsAcrossDesigns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement needs the full warmup")

@@ -74,8 +74,7 @@ func run() int {
 		statsOut   = flag.String("stats-out", "", "write per-interval metric time-series, one <workload>_<design>.jsonl (or .csv with -stats-csv) per simulation, into this directory")
 		statsIvl   = flag.Uint64("stats-interval", 100_000, "sampling interval in accesses for -stats-out")
 		statsCSV   = flag.Bool("stats-csv", false, "emit -stats-out time-series as CSV instead of JSONL")
-		traceOut   = flag.String("trace-out", "", "write Chrome trace_event JSON, one <workload>_<design>.trace.json per simulation, into this directory")
-		traceLimit = flag.Int("trace-limit", 0, "max trace slices recorded per simulation (0 = default cap)")
+		traceOut   = flag.String("trace-out", "", "write each simulation's -span-topk slowest sampled span trees as Chrome trace_event JSON, one <workload>_<design>.trace.json per simulation, into this directory; needs -span-sample")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	)
 	flag.Parse()
@@ -83,6 +82,10 @@ func run() int {
 	logger, err := obsFlags.Logger("cosmos-bench")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cosmos-bench:", err)
+		return exitUsage
+	}
+	if err := spanFlags.Validate(*traceOut); err != nil {
+		logger.Error("span flags", "err", err)
 		return exitUsage
 	}
 
@@ -248,7 +251,7 @@ func run() int {
 			watchHub = obs.NewWatchHub()
 		}
 	}
-	lab.Instrument = instrumentHook(logger, *statsOut, *statsIvl, *statsCSV, *traceOut, *traceLimit,
+	lab.Instrument = instrumentHook(logger, *statsOut, *statsIvl, *statsCSV, *traceOut,
 		broker, spanFlags, spanHub, watchHub)
 
 	if obsFlags.Listen != "" {
@@ -395,9 +398,9 @@ func run() int {
 // -span-sample is set, and an online watchdog per run when -watch is set.
 // Returns nil when nothing is enabled, keeping the uninstrumented path
 // identical to before.
-func instrumentHook(logger *slog.Logger, statsDir string, interval uint64, statsCSV bool, traceDir string, traceLimit int,
+func instrumentHook(logger *slog.Logger, statsDir string, interval uint64, statsCSV bool, traceDir string,
 	broker *obs.Broker, spans *cliflags.Spans, spanHub *obs.SpanHub, watchHub *obs.WatchHub) func(string, *sim.System) func() {
-	if statsDir == "" && traceDir == "" && broker == nil && !spans.Enabled() && !spans.Watch {
+	if statsDir == "" && broker == nil && !spans.Enabled() && !spans.Watch {
 		return nil
 	}
 	fatal := func(msg string, err error) {
@@ -417,7 +420,8 @@ func instrumentHook(logger *slog.Logger, statsDir string, interval uint64, stats
 		if in := s.Faults(); in != nil && broker != nil {
 			in.Notify = broker.FaultNotifier(label)
 		}
-		if rec := spans.Recorder(); rec != nil {
+		rec := spans.Recorder()
+		if rec != nil {
 			s.AttachSpans(rec)
 			rec.RegisterMetrics(reg.Root().Scope("span"))
 			if spanHub != nil {
@@ -482,15 +486,13 @@ func instrumentHook(logger *slog.Logger, statsDir string, interval uint64, stats
 			})
 		}
 		if traceDir != "" {
-			tr := telemetry.NewTracer(traceLimit)
-			s.AttachTracer(tr)
 			cleanups = append(cleanups, func() {
 				f, err := os.Create(filepath.Join(traceDir, label+".trace.json"))
 				if err != nil {
 					fatal("create trace sink", err)
 				}
 				defer f.Close()
-				if err := tr.WriteJSON(f); err != nil {
+				if err := telemetry.WriteChromeTrace(f, rec.TopSpans()); err != nil {
 					logger.Warn("trace sink", "run", label, "err", err)
 				}
 			})

@@ -8,6 +8,7 @@
 //	cosmos-sim -workload mcf -design MorphCtr -accesses 1000000 -cores 8
 //	cosmos-sim -workload DFS -design COSMOS -listen localhost:9090
 //	cosmos-sim -workload mcf,DFS -design COSMOS -span-sample 64 -watch -listen :0
+//	cosmos-sim -workload mcf -design COSMOS -span-sample 1 -span-topk 256 -trace-out mcf.trace.json
 //
 // With -listen the simulation serves its live observability plane while it
 // runs: /metrics exposes the full telemetry registry of the system in
@@ -17,10 +18,11 @@
 // -span-sample enables access-level span tracing: per-cause latency
 // histograms feed tail percentiles (p50/p95/p99/p999) into the results and
 // a deterministic 1-in-N access subset gets a full span tree, the slowest
-// exemplars served on /spans. -watch runs the online watchdog over the
-// interval-sampler stream and flags phase changes and anomalies as
-// events, metrics and /phases segments. A comma-separated -workload chains
-// workloads back to back — the canonical phase-change input.
+// exemplars served on /spans and, with -trace-out, written as a Chrome
+// trace for Perfetto or about://tracing. -watch runs the online watchdog
+// over the interval-sampler stream and flags phase changes and anomalies
+// as events, metrics and /phases segments. A comma-separated -workload
+// chains workloads back to back — the canonical phase-change input.
 package main
 
 import (
@@ -95,8 +97,7 @@ func main() {
 
 		statsOut   = flag.String("stats-out", "", "write a per-interval metric time-series to this file (.csv = CSV, else JSONL)")
 		statsIvl   = flag.Uint64("stats-interval", 100_000, "sampling interval in accesses for -stats-out")
-		traceOut   = flag.String("trace-out", "", "write off-chip access event traces as Chrome trace_event JSON (Perfetto/about://tracing)")
-		traceLimit = flag.Int("trace-limit", 0, "max trace slices recorded (0 = default cap)")
+		traceOut   = flag.String("trace-out", "", "write the -span-topk slowest sampled span trees as Chrome trace_event JSON (Perfetto/about://tracing); needs -span-sample")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 	)
 	flag.Parse()
@@ -114,6 +115,9 @@ func main() {
 	die := func(msg string, err error) {
 		logger.Error(msg, "err", err)
 		os.Exit(1)
+	}
+	if err := spanFlags.Validate(*traceOut); err != nil {
+		die("span flags", err)
 	}
 
 	// SIGINT/SIGTERM (or -timeout) stop the simulation within
@@ -200,7 +204,7 @@ func main() {
 		}
 	}
 
-	if *statsOut != "" || *traceOut != "" || obsFlags.Listen != "" || spanFlags.Watch || spanRec != nil {
+	if *statsOut != "" || obsFlags.Listen != "" || spanFlags.Watch || spanRec != nil {
 		reg := telemetry.NewRegistry()
 		s.RegisterMetrics(reg.Root())
 		phases.RegisterMetrics(reg.Root().Scope("perf"))
@@ -251,19 +255,14 @@ func main() {
 			}()
 		}
 		if *traceOut != "" {
-			tr := telemetry.NewTracer(*traceLimit)
-			s.AttachTracer(tr)
 			defer func() {
 				f, err := os.Create(*traceOut)
 				if err != nil {
 					die("create trace sink", err)
 				}
 				defer f.Close()
-				if err := tr.WriteJSON(f); err != nil {
+				if err := telemetry.WriteChromeTrace(f, spanRec.TopSpans()); err != nil {
 					die("trace sink", err)
-				}
-				if n := tr.Dropped(); n > 0 {
-					logger.Warn("trace slices dropped (event cap reached; raise -trace-limit)", "dropped", n)
 				}
 			}()
 		}

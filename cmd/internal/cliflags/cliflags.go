@@ -101,7 +101,7 @@ func RegisterSpans(fs *flag.FlagSet) *Spans {
 	s := &Spans{}
 	fs.Uint64Var(&s.SampleEvery, "span-sample", 0,
 		"build a full span tree for 1 in this many accesses and serve the slowest exemplars on /spans (0 = off; histogram tails are collected either way once enabled)")
-	fs.IntVar(&s.TopK, "span-topk", 16, "keep this many slowest span-tree exemplars")
+	fs.IntVar(&s.TopK, "span-topk", 16, "keep this many slowest span-tree exemplars (also the -trace-out bound; at least 1)")
 	fs.BoolVar(&s.Watch, "watch", false,
 		"run the online phase/anomaly watchdog over the interval-sampler stream (emits phase_change/anomaly events and /phases)")
 	return s
@@ -109,6 +109,20 @@ func RegisterSpans(fs *flag.FlagSet) *Spans {
 
 // Enabled reports whether span tracing is on.
 func (s *Spans) Enabled() bool { return s.SampleEvery > 0 }
+
+// Validate rejects span settings the recorder cannot honour: a -span-topk
+// below 1, and a -trace-out (traceOut, the command's own flag) without
+// -span-sample, since the trace is exported from the sampled span trees.
+// Commands call it before any simulation starts.
+func (s *Spans) Validate(traceOut string) error {
+	if s.TopK < 1 {
+		return fmt.Errorf("-span-topk %d must be at least 1", s.TopK)
+	}
+	if traceOut != "" && !s.Enabled() {
+		return fmt.Errorf("-trace-out exports sampled span trees; it needs -span-sample (1 records every access)")
+	}
+	return nil
+}
 
 // Recorder builds the configured span recorder, or nil when tracing is off
 // — the nil keeps Step allocation-free and Results bit-identical.

@@ -22,9 +22,10 @@ import (
 //   walk:  the lower on-chip lookups (L2+LLC), which must confirm the miss
 //          before any speculative data can retire.
 //
-// Both the timing model (Step charges finish() to the thread) and the
-// telemetry tracer (traceFetch draws one slice per chain) consume the same
-// fetchPath value, so the two can never disagree about the path's shape.
+// Both the timing model (Step charges finish() to the thread) and the span
+// recorder (NoteFetch builds the fetch node's walk, counter and data
+// children) consume the same fetchPath value, so the two can never disagree
+// about the path's shape.
 
 // planProfile is the per-design half of the fetch plan, precomputed once at
 // New: which early-issue mode the design runs and how the secure-region
@@ -118,7 +119,8 @@ type fetchPath struct {
 	dataLat uint64
 	// ctrLat is the counter pipeline + AES cost (secure only).
 	ctrLat uint64
-	// ctrHit records whether the counter was cached (trace labelling).
+	// ctrHit records whether the counter was cached (the span tree's
+	// counter cause).
 	ctrHit bool
 
 	secure       bool
@@ -199,26 +201,6 @@ func (s *System) composeFetch(c int, now uint64, line uint64, addr memsys.Addr, 
 		f.ctrHit = ctrRes.Hit
 	}
 	return f
-}
-
-// traceFetch records the racing chains of one off-chip access as slices on
-// the core's lane, timestamped in thread cycles from t0 = the L1-miss point.
-func (s *System) traceFetch(c int, now uint64, f fetchPath) {
-	t0 := now + s.l1Lat
-	s.tracer.Slice(c, tidFetch, "fetch", "offchip", t0, f.finish())
-	s.tracer.Slice(c, tidWalk, "l2+llc walk", "offchip", t0, f.walkLat)
-	if f.secure {
-		name := "ctr+otp"
-		if f.ctrHit {
-			name = "ctr hit+otp"
-		}
-		s.tracer.Slice(c, tidCtr, name, "offchip", t0+f.ctrStart(), f.ctrLat)
-	}
-	name := "dram (speculative)"
-	if !f.predictedOff {
-		name = "dram"
-	}
-	s.tracer.Slice(c, tidData, name, "offchip", t0+f.dataStart(), f.dataLat)
 }
 
 func max64(a, b uint64) uint64 {

@@ -202,13 +202,14 @@ type System struct {
 	offChipReads uint64
 	fetchLatSum  uint64
 	bypassed     uint64 // accesses that skipped the L2/LLC walk latency
+	fetchHist    telemetry.Histogram
 
-	// Telemetry (all nil when disabled — the fast path costs one branch).
-	sampler   *telemetry.Sampler
-	tracer    *telemetry.Tracer
-	fetchHist *telemetry.Histogram
-	phases    *telemetry.Phases
-	spans     *telemetry.SpanRecorder
+	// Attached observers (nil when off). Step touches only spans, at its
+	// entry and its single exit; RunContext consults the sampler and the
+	// phases once per block.
+	sampler *telemetry.Sampler
+	phases  *telemetry.Phases
+	spans   *telemetry.SpanRecorder
 
 	// faults, when non-nil, is the attached fault plane (also wired into
 	// the memory controller engine).
@@ -328,7 +329,7 @@ func (s *System) RegisterMetrics(root *telemetry.Scope) {
 	sys.RateOf("bypass_rate", &s.bypassed, &s.offChipReads)
 	sys.RateOf("avg_fetch_lat", &s.fetchLatSum, &s.offChipReads)
 	sys.Gauge("ipc", func() float64 { return s.Results("").IPC })
-	s.fetchHist = sys.Histogram("fetch_latency")
+	sys.HistogramVar("fetch_latency", &s.fetchHist)
 
 	for c := 0; c < s.cfg.Cores; c++ {
 		coreScope := root.Scope(fmt.Sprintf("core%d", c))
@@ -349,29 +350,21 @@ func (s *System) RegisterMetrics(root *telemetry.Scope) {
 // built over a registry this system registered into.
 func (s *System) AttachSampler(sp *telemetry.Sampler) { s.sampler = sp }
 
-// AttachTracer enables event tracing of off-chip accesses: for every
-// off-chip fetch the three racing chains (walk / ctr / data, see
-// fetchpath.go) are recorded as Chrome trace_event slices on the owning
-// core's lane.
-func (s *System) AttachTracer(tr *telemetry.Tracer) {
-	s.tracer = tr
-	for c := 0; c < s.cfg.Cores; c++ {
-		tr.SetProcessName(c, fmt.Sprintf("core%d", c))
-		tr.SetThreadName(c, tidFetch, "fetch")
-		tr.SetThreadName(c, tidWalk, "walk")
-		tr.SetThreadName(c, tidCtr, "ctr")
-		tr.SetThreadName(c, tidData, "data")
-	}
-}
-
 // AttachSpans enables access-level span tracing: every Step feeds the
 // recorder's per-cause latency histograms, and a deterministic 1-in-N
 // subset of accesses gets a full span tree (see telemetry.SpanRecorder).
 // The recorder is also attached to the memory controller so metadata-path
 // events (counter misses, MT walks, MAC fetches, fault retries,
-// re-encryption storms) annotate the same trees. Nil (the default) keeps
-// Step allocation-free and the Results bit-identical.
+// re-encryption storms) annotate the same trees, and it learns the level
+// names and latencies its level-miss spans are laid out from. Not attaching
+// one (the default) keeps Step allocation-free and the Results
+// bit-identical.
 func (s *System) AttachSpans(rec *telemetry.SpanRecorder) {
+	names := make([]string, len(s.specs))
+	for i, sp := range s.specs {
+		names[i] = sp.Name
+	}
+	rec.SetLevels(names, s.lats)
 	s.spans = rec
 	s.mc.AttachSpans(rec)
 }
@@ -389,20 +382,13 @@ func (s *System) AttachPhases(p *telemetry.Phases) { s.phases = p }
 // phaseBlock is the decode-ahead block size of the serial run loop.
 const phaseBlock = 256
 
-// Trace track ids within one core's lane: the critical-path envelope plus
-// the three racing chains of an off-chip access.
-const (
-	tidFetch = iota
-	tidWalk
-	tidCtr
-	tidData
-)
-
 // Step processes one access and returns its critical-path latency: walk the
 // core's level chain until a hit (writebacks cascade inside the levels),
 // and on an all-miss compose the off-chip fetch path and advance the thread
 // clock. The walk runs on concrete *cache.Level values via Probe — no
-// interface dispatch or Request/Response traffic on the hit path.
+// interface dispatch or Request/Response traffic on the hit path. An
+// attached span recorder is touched at two sites only: at entry, and once
+// in the shared exit.
 func (s *System) Step(a memsys.Access) uint64 {
 	c := int(a.Thread) % s.cfg.Cores
 	if s.faults != nil {
@@ -429,66 +415,55 @@ func (s *System) Step(a memsys.Access) uint64 {
 		s.reads++
 	}
 
-	// Top level: the only one that sees the store bit.
+	// Top level: the only one that sees the store bit. missed counts the
+	// levels that missed; it reaches len(chain) when the access goes
+	// off-chip.
 	s.demand[0].accesses++
 	lat := s.l1Lat
-	if chain[0].Probe(line, write, a.Region, c, now) {
-		if s.spans != nil {
-			s.spans.EndAccess(lat)
-		}
-		s.advance(c, write, a.Dep, lat)
-		return lat
-	}
-	s.demand[0].misses++
-	if s.spans != nil {
-		s.spans.LevelMiss(s.specs[0].Name, 0, s.l1Lat)
-	}
+	missed := 0
+	var path fetchPath
+	if !chain[0].Probe(line, write, a.Region, c, now) {
+		s.demand[0].misses++
+		missed = 1
 
-	// Miss at the top: open the fetch plan (location prediction, early
-	// counter issue), then walk the lower levels.
-	plan := s.planFetch(c, now, line, a.Addr)
-
-	for i := 1; i < len(chain); i++ {
-		s.demand[i].accesses++
-		hit := chain[i].Probe(line, false, a.Region, c, now)
-		lat += s.lats[i]
-		if hit {
-			s.gradeOnChipHit(plan, now, a.Addr, write, i == len(chain)-1)
-			if s.spans != nil {
-				s.spans.EndAccess(lat)
+		// Miss at the top: open the fetch plan (location prediction, early
+		// counter issue), then walk the lower levels.
+		plan := s.planFetch(c, now, line, a.Addr)
+		for ; missed < len(chain); missed++ {
+			i := missed
+			s.demand[i].accesses++
+			hit := chain[i].Probe(line, false, a.Region, c, now)
+			lat += s.lats[i]
+			if hit {
+				s.gradeOnChipHit(plan, now, a.Addr, write, i == len(chain)-1)
+				break
 			}
-			s.advance(c, write, a.Dep, lat)
-			return lat
+			s.demand[i].misses++
 		}
-		s.demand[i].misses++
-		if s.spans != nil {
-			s.spans.LevelMiss(s.specs[i].Name, lat-s.lats[i], s.lats[i])
+
+		if missed == len(chain) {
+			// Off-chip: resolve the plan into the timed fetch path.
+			path = s.composeFetch(c, now, line, a.Addr, plan)
+			fetchEnd := path.finish()
+			lat = s.l1Lat + fetchEnd
+			s.offChipReads++
+			s.fetchLatSum += fetchEnd
+			s.fetchHist.Observe(fetchEnd)
+			if path.predictedOff {
+				s.bypassed++
+			}
 		}
 	}
 
-	// Off-chip: resolve the plan into the timed fetch path.
-	path := s.composeFetch(c, now, line, a.Addr, plan)
-	fetchEnd := path.finish()
-	lat = s.l1Lat + fetchEnd
-	s.offChipReads++
-	s.fetchLatSum += fetchEnd
-	if path.predictedOff {
-		s.bypassed++
-	}
-
-	if s.fetchHist != nil {
-		s.fetchHist.Observe(fetchEnd)
-	}
-	if s.tracer != nil {
-		s.traceFetch(c, now, path)
-	}
 	if s.spans != nil {
-		s.spans.NoteFetch(s.l1Lat, path.walkLat, path.ctrStart(), path.ctrLat,
-			path.dataStart(), path.dataLat, fetchEnd,
-			path.secure, path.ctrHit, path.predictedOff)
+		s.spans.LevelMisses(missed)
+		if missed == len(chain) {
+			s.spans.NoteFetch(s.l1Lat, path.walkLat, path.ctrStart(), path.ctrLat,
+				path.dataStart(), path.dataLat, lat-s.l1Lat,
+				path.secure, path.ctrHit, path.predictedOff)
+		}
 		s.spans.EndAccess(lat)
 	}
-
 	s.advance(c, write, a.Dep, lat)
 	return lat
 }
@@ -550,6 +525,7 @@ func (s *System) ResetStats() {
 	}
 	s.accesses, s.reads, s.writes = 0, 0, 0
 	s.offChipReads, s.fetchLatSum, s.bypassed = 0, 0, 0
+	s.fetchHist = telemetry.Histogram{}
 	for i := range s.threadCycles {
 		s.threadCycles[i] = 0
 	}
@@ -599,6 +575,14 @@ func (s *System) RunContext(ctx context.Context, gen trace.Generator, maxAccesse
 		if want > phaseBlock {
 			want = phaseBlock
 		}
+		if s.sampler != nil {
+			// End the block on the sampler's next interval boundary, so one
+			// check per block still lands every row on an exact multiple.
+			iv := s.sampler.Interval()
+			if due := (s.accesses/iv+1)*iv - s.accesses; want > due {
+				want = due
+			}
+		}
 		if timed {
 			t0 = time.Now()
 		}
@@ -615,9 +599,9 @@ func (s *System) RunContext(ctx context.Context, gen trace.Generator, maxAccesse
 		}
 		for i := 0; i < n; i++ {
 			s.Step(buf[i])
-			if s.sampler != nil {
-				s.sampler.MaybeSample(s.accesses)
-			}
+		}
+		if s.sampler != nil {
+			s.sampler.MaybeSample(s.accesses)
 		}
 		if timed {
 			t2 := time.Now()

@@ -44,15 +44,16 @@ func TestRunEmitsIntervalTimeSeries(t *testing.T) {
 	if len(lines) != 3 { // 10k, 20k, final partial 25k
 		t.Fatalf("got %d JSONL rows, want 3", len(lines))
 	}
+	// Rows land on exact interval multiples, then the final partial one.
 	var last map[string]any
-	for _, line := range lines {
+	for i, line := range lines {
 		last = nil
 		if err := json.Unmarshal([]byte(line), &last); err != nil {
 			t.Fatalf("unparseable JSONL row: %v\n%s", err, line)
 		}
-	}
-	if got := last["accesses"].(float64); got != accesses {
-		t.Errorf("final row accesses = %v, want %d", got, accesses)
+		if got, want := last["accesses"].(float64), []float64{10_000, 20_000, accesses}[i]; got != want {
+			t.Errorf("row %d accesses = %v, want %v", i, got, want)
+		}
 	}
 
 	// The acceptance-criteria metric set must be present: per-core cache
@@ -96,19 +97,19 @@ func TestRunRecordsChromeTrace(t *testing.T) {
 	cfg.MC.MemBytes = 1 << 30
 	s := New(cfg, secmem.DesignCosmos())
 
-	tr := telemetry.NewTracer(0)
-	s.AttachTracer(tr)
+	rec := telemetry.NewSpanRecorder(1, 64)
+	s.AttachSpans(rec)
 	s.Run(trace.Limit(telemetryGen(), 20_000), 20_000)
 
-	if tr.Events() == 0 {
-		t.Fatal("no trace events recorded for an off-chip-heavy run")
-	}
 	var out strings.Builder
-	if err := tr.WriteJSON(&out); err != nil {
+	if err := telemetry.WriteChromeTrace(&out, rec.TopSpans()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
-		TraceEvents []telemetry.TraceEvent `json:"traceEvents"`
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal([]byte(out.String()), &doc); err != nil {
 		t.Fatalf("trace output is not valid JSON: %v", err)
@@ -146,7 +147,6 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.AttachSampler(sp)
-			s.AttachTracer(telemetry.NewTracer(0))
 		}
 		return s.Run(trace.Limit(telemetryGen(), 15_000), 15_000)
 	}

@@ -13,6 +13,7 @@ import (
 // bounded reservoir. The simulator and the secure-memory engine annotate
 // the recorder from their existing hot-path sites; a nil recorder costs one
 // predictable branch per site, preserving the zero-alloc disabled contract.
+// WriteChromeTrace exports the kept trees for a trace viewer.
 
 // SpanCause classifies one node of an access span tree. The same enum
 // indexes the recorder's per-cause histograms, so the tree labels and the
@@ -154,6 +155,11 @@ type SpanRecorder struct {
 	hists   [numSpanCauses]Histogram
 	sampled uint64
 
+	// levelNames and levelLats describe the on-chip hierarchy, top first
+	// (see SetLevels).
+	levelNames []string
+	levelLats  []uint64
+
 	// cur is the in-flight sampled access (nil between samples); pending
 	// collects engine-side notes until NoteFetch assembles the fetch node.
 	cur     *AccessSpan
@@ -195,15 +201,27 @@ func (r *SpanRecorder) MaybeBegin(index uint64, core int, line uint64) {
 	r.pending = r.pending[:0]
 }
 
-// LevelMiss records an on-chip lookup miss (sim side): the histogram is
-// untouched — per-level miss latencies are config constants — but a sampled
-// access gets a child span per missed level.
-func (r *SpanRecorder) LevelMiss(name string, start, dur uint64) {
+// SetLevels names the on-chip hierarchy (top first) and its per-level
+// lookup latencies, the geometry LevelMisses lays out. The simulator calls
+// it when the recorder is attached; the recorder keeps both slices.
+func (r *SpanRecorder) SetLevels(names []string, lats []uint64) {
+	r.levelNames, r.levelLats = names, lats
+}
+
+// LevelMisses records that the access missed the top n on-chip levels: a
+// sampled access gets one child span per missed level, laid end to end from
+// its t0. No histogram observes them — per-level miss latencies are config
+// constants.
+func (r *SpanRecorder) LevelMisses(n int) {
 	if r.cur == nil {
 		return
 	}
-	r.cur.Root.Children = append(r.cur.Root.Children,
-		Span{Cause: CauseLevelMiss, Label: name, Start: start, Dur: dur})
+	var start uint64
+	for i := 0; i < n; i++ {
+		r.cur.Root.Children = append(r.cur.Root.Children,
+			Span{Cause: CauseLevelMiss, Label: r.levelNames[i], Start: start, Dur: r.levelLats[i]})
+		start += r.levelLats[i]
+	}
 }
 
 // Note records one engine-side event: the cause's histogram always observes

@@ -106,8 +106,9 @@ func TestSpanRecorderTopKBounded(t *testing.T) {
 
 func TestSpanRecorderCtrNesting(t *testing.T) {
 	r := NewSpanRecorder(1, 1)
+	r.SetLevels([]string{"l1"}, []uint64{2})
 	r.MaybeBegin(0, 2, 7)
-	r.LevelMiss("l2", 2, 20)
+	r.LevelMisses(1)
 	// Engine-side order on a secure counter miss with a data-side fault:
 	// ctr fault retry, the MT walk, then the data retry and the MAC fetch.
 	r.Note(CauseFaultRetry, 30, 1)

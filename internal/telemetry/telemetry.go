@@ -2,15 +2,18 @@
 // registry (counters, gauges, log2-bucketed histograms and derived
 // per-interval rates) organised into named hierarchical scopes, an interval
 // Sampler that snapshots every registered metric each N accesses and emits a
-// gem5-style stats time-series (JSONL and CSV), and an event Tracer that
-// records the racing chains of off-chip accesses as Chrome trace_event JSON
-// loadable in about://tracing and Perfetto.
+// gem5-style stats time-series (JSONL and CSV), and a SpanRecorder that
+// builds per-access span trees and per-cause latency distributions. The
+// recorder's slowest trees export as Chrome trace_event JSON
+// (WriteChromeTrace), loadable in about://tracing and Perfetto.
 //
 // The design principle is that registration is cheap and sampling is pull:
 // metrics reference counters the simulator already maintains (by pointer or
-// closure), so the hot path is untouched, and a nil *Sampler / nil *Tracer
-// costs exactly one predictable branch per access. Only Histograms are
-// push-style, and they are guarded by the same nil check.
+// closure), so the hot path is untouched. Histograms are push-style; an
+// owner either observes one unconditionally (a plain value next to the
+// counters it mirrors) or behind the check of the recorder that owns it.
+// A nil *Sampler or nil *SpanRecorder is the disabled state and costs one
+// predictable branch per site.
 //
 // Metric names are dot-separated paths, e.g. "core0.l1.miss_rate" or
 // "secmem.ctr.hit_rate". See README.md "Observability" for the naming scheme
