@@ -62,23 +62,16 @@ func joinCampaign(ctx context.Context, logger *slog.Logger, obsFlags *cliflags.O
 
 	// The worker serves its own observability plane when asked: /healthz is
 	// liveness, /readyz flips once the coordinator has answered.
-	if obsFlags.Listen != "" {
-		srv := obs.NewServer(obs.Config{
-			Component: "cosmos-bench-worker",
-			Logger:    logger,
-			Ready:     w.Ready,
-		})
-		if err := srv.Start(obsFlags.Listen); err != nil {
-			logger.Error("observability plane", "err", err)
-			return exitCampaign
-		}
-		logger.Info("observability plane listening", "addr", srv.URL())
-		defer func() {
-			sdCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(sdCtx)
-		}()
+	stopPlane, err := obsFlags.Serve(obs.Config{
+		Component: "cosmos-bench-worker",
+		Logger:    logger,
+		Ready:     w.Ready,
+	})
+	if err != nil {
+		logger.Error("observability plane", "err", err)
+		return exitCampaign
 	}
+	defer stopPlane()
 
 	logger.Info("joining campaign", "coordinator", cf.Join, "worker", cf.Name(), "concurrency", parallel)
 	err = w.Run(ctx)

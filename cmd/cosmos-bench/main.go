@@ -31,8 +31,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -46,7 +44,6 @@ import (
 	"cosmos/internal/runner"
 	"cosmos/internal/sim"
 	"cosmos/internal/telemetry"
-	"cosmos/internal/watch"
 )
 
 func main() {
@@ -149,21 +146,20 @@ func run() int {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *out != "" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			logger.Error("create output dir", "err", err)
-			return 1
+	for _, dir := range []string{*out, *statsOut, *traceOut} {
+		if dir != "" {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				logger.Error("create output dir", "dir", dir, "err", err)
+				return 1
+			}
 		}
 	}
 
 	// The run table drives the progress/ETA line on every campaign and the
 	// /runs endpoint when the plane is listening; the broker exists only
 	// with -listen (a nil broker publishes nothing).
-	var broker *obs.Broker
-	if obsFlags.Listen != "" {
-		broker = obs.NewBroker()
-	}
-	table := obs.NewRunTable(*par, broker)
+	sinks := obsFlags.Sinks(spanFlags, *statsIvl, logger)
+	table := obs.NewRunTable(*par, sinks.Broker)
 
 	// The campaign-level phase accumulator: every simulation's attributed
 	// wall time (decode / step / store / report) and access count merge into
@@ -239,55 +235,63 @@ func run() int {
 		lab.Orchestrator().Executor = coordinator
 	}
 
-	// With the plane up, per-run span recorders and watchdogs register into
-	// hubs so /spans and /phases carry every executing cell.
-	var spanHub *obs.SpanHub
-	var watchHub *obs.WatchHub
-	if obsFlags.Listen != "" {
-		if spanFlags.Enabled() {
-			spanHub = obs.NewSpanHub()
+	// Per-cell telemetry: each executed simulation gets its own sinks,
+	// with files named after the cell label; with the plane up, span
+	// recorders and watchdogs register into hubs so /spans and /phases
+	// carry every executing cell.
+	if sinks.Enabled(*statsOut) {
+		statsExt := ".jsonl"
+		if *statsCSV {
+			statsExt = ".csv"
 		}
-		if spanFlags.Watch {
-			watchHub = obs.NewWatchHub()
-		}
-	}
-	lab.Instrument = instrumentHook(logger, *statsOut, *statsIvl, *statsCSV, *traceOut,
-		broker, spanFlags, spanHub, watchHub)
-
-	if obsFlags.Listen != "" {
-		reg := telemetry.NewRegistry()
-		lab.Orchestrator().RegisterMetrics(reg.Root())
-		phases.RegisterMetrics(reg.Root().Scope("perf"))
-		cfg := obs.Config{
-			Component: "cosmos-bench",
-			Registry:  reg,
-			Runs:      table,
-			Events:    broker,
-			Spans:     spanHub,
-			Watch:     watchHub,
-			Logger:    logger,
-		}
-		if coordinator != nil {
-			coordinator.RegisterMetrics(reg)
-			cfg.Component = "cosmos-bench-coordinator"
-			cfg.Ready = coordinator.Ready
-			cfg.Coord = func() any { return coordinator.Status() }
-			cfg.Attach = coordinator.Mount
-		}
-		srv := obs.NewServer(cfg)
-		if err := srv.Start(obsFlags.Listen); err != nil {
-			logger.Error("observability plane", "err", err)
-			return exitCampaign
-		}
-		logger.Info("observability plane listening", "addr", srv.URL())
-		defer func() {
-			sdCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(sdCtx); err != nil {
-				logger.Warn("observability plane shutdown", "err", err)
+		cellPath := func(dir, label, ext string) string {
+			if dir == "" {
+				return ""
 			}
-		}()
+			return filepath.Join(dir, label+ext)
+		}
+		lab.Orchestrator().Instrument = func(label string, s *sim.System) func() {
+			reg := telemetry.NewRegistry()
+			s.RegisterMetrics(reg.Root())
+			finish, err := sinks.Attach(reg, label, s,
+				cellPath(*statsOut, label, statsExt), cellPath(*traceOut, label, ".trace.json"))
+			if err != nil {
+				logger.Error("create telemetry sinks", "run", label, "err", err)
+				os.Exit(exitCampaign)
+			}
+			return func() {
+				if err := finish(); err != nil {
+					logger.Warn("telemetry sink", "run", label, "err", err)
+				}
+			}
+		}
 	}
+
+	reg := telemetry.NewRegistry()
+	lab.Orchestrator().RegisterMetrics(reg.Root())
+	phases.RegisterMetrics(reg.Root().Scope("perf"))
+	cfg := obs.Config{
+		Component: "cosmos-bench",
+		Registry:  reg,
+		Runs:      table,
+		Events:    sinks.Broker,
+		Spans:     sinks.SpanHub,
+		Watch:     sinks.WatchHub,
+		Logger:    logger,
+	}
+	if coordinator != nil {
+		coordinator.RegisterMetrics(reg)
+		cfg.Component = "cosmos-bench-coordinator"
+		cfg.Ready = coordinator.Ready
+		cfg.Coord = func() any { return coordinator.Status() }
+		cfg.Attach = coordinator.Mount
+	}
+	stopPlane, err := obsFlags.Serve(cfg)
+	if err != nil {
+		logger.Error("observability plane", "err", err)
+		return exitCampaign
+	}
+	defer stopPlane()
 
 	code := 0
 	// The summary prints on every exit path — including interrupts — so a
@@ -389,118 +393,4 @@ func run() int {
 		finishServe(coordinator, logger, serveGrace(coordFlags))
 	}
 	return code
-}
-
-// instrumentHook builds the Lab.Instrument callback attaching telemetry to
-// every simulation the lab executes: file sinks for -stats-out/-trace-out,
-// a sampler feeding each run's interval snapshots into the /events stream
-// when the observability plane is up, a span recorder per run when
-// -span-sample is set, and an online watchdog per run when -watch is set.
-// Returns nil when nothing is enabled, keeping the uninstrumented path
-// identical to before.
-func instrumentHook(logger *slog.Logger, statsDir string, interval uint64, statsCSV bool, traceDir string,
-	broker *obs.Broker, spans *cliflags.Spans, spanHub *obs.SpanHub, watchHub *obs.WatchHub) func(string, *sim.System) func() {
-	if statsDir == "" && broker == nil && !spans.Enabled() && !spans.Watch {
-		return nil
-	}
-	fatal := func(msg string, err error) {
-		logger.Error(msg, "err", err)
-		os.Exit(1)
-	}
-	for _, dir := range []string{statsDir, traceDir} {
-		if dir != "" {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fatal("create telemetry dir", err)
-			}
-		}
-	}
-	return func(label string, s *sim.System) func() {
-		reg := telemetry.NewRegistry()
-		s.RegisterMetrics(reg.Root())
-		if in := s.Faults(); in != nil && broker != nil {
-			in.Notify = broker.FaultNotifier(label)
-		}
-		rec := spans.Recorder()
-		if rec != nil {
-			s.AttachSpans(rec)
-			rec.RegisterMetrics(reg.Root().Scope("span"))
-			if spanHub != nil {
-				spanHub.Register(label, rec)
-			}
-		}
-		var dog *watch.Dog
-		if spans.Watch {
-			dog = watch.New(reg, watch.Config{
-				Notify: obs.WatchNotifier(logger, broker, label),
-			})
-			dog.RegisterMetrics(reg.Root().Scope("watch"))
-			if watchHub != nil {
-				watchHub.Register(label, dog)
-			}
-		}
-
-		var cleanups []func()
-		if statsDir != "" || broker != nil || dog != nil {
-			var cfg telemetry.SamplerConfig
-			cfg.Interval = interval
-			if dog != nil {
-				cfg.Observer = dog.ObserveRow
-			}
-			var f *os.File
-			if statsDir != "" {
-				ext := ".jsonl"
-				if statsCSV {
-					ext = ".csv"
-				}
-				var err error
-				f, err = os.Create(filepath.Join(statsDir, label+ext))
-				if err != nil {
-					fatal("create stats sink", err)
-				}
-				if statsCSV {
-					cfg.CSV = f
-				} else {
-					cfg.JSONL = f
-				}
-			}
-			if broker != nil {
-				sink := broker.SampleWriter(label)
-				if cfg.JSONL != nil {
-					cfg.JSONL = io.MultiWriter(cfg.JSONL, sink)
-				} else {
-					cfg.JSONL = sink
-				}
-			}
-			sp, err := telemetry.NewSampler(reg, cfg)
-			if err != nil {
-				fatal("build sampler", err)
-			}
-			s.AttachSampler(sp)
-			cleanups = append(cleanups, func() {
-				if err := sp.Err(); err != nil {
-					logger.Warn("stats sink", "run", label, "err", err)
-				}
-				if f != nil {
-					f.Close()
-				}
-			})
-		}
-		if traceDir != "" {
-			cleanups = append(cleanups, func() {
-				f, err := os.Create(filepath.Join(traceDir, label+".trace.json"))
-				if err != nil {
-					fatal("create trace sink", err)
-				}
-				defer f.Close()
-				if err := telemetry.WriteChromeTrace(f, rec.TopSpans()); err != nil {
-					logger.Warn("trace sink", "run", label, "err", err)
-				}
-			})
-		}
-		return func() {
-			for _, c := range cleanups {
-				c()
-			}
-		}
-	}
 }

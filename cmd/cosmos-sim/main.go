@@ -26,11 +26,9 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime/pprof"
 	"strings"
@@ -45,7 +43,6 @@ import (
 	"cosmos/internal/stats"
 	"cosmos/internal/telemetry"
 	"cosmos/internal/trace"
-	"cosmos/internal/watch"
 	"cosmos/internal/workloads"
 )
 
@@ -164,11 +161,6 @@ func main() {
 	s := sim.New(cfg, d)
 	label := *workload + "_" + d.Name
 
-	spanRec := spanFlags.Recorder()
-	if spanRec != nil {
-		s.AttachSpans(spanRec)
-	}
-
 	if policy.Log != "" {
 		lw, err := policytrain.CreateLog(policy.Log)
 		if err != nil {
@@ -194,109 +186,39 @@ func main() {
 	phases := telemetry.NewPhases()
 	s.AttachPhases(phases)
 
-	var broker *obs.Broker
-	var table *obs.RunTable
-	if obsFlags.Listen != "" {
-		broker = obs.NewBroker()
-		table = obs.NewRunTable(1, broker)
-		if in := s.Faults(); in != nil {
-			in.Notify = broker.FaultNotifier(label)
-		}
-	}
-
-	if *statsOut != "" || obsFlags.Listen != "" || spanFlags.Watch || spanRec != nil {
-		reg := telemetry.NewRegistry()
+	// Telemetry registers the system's metrics and runs the span, watch
+	// and stats sinks; with none of them and no plane the run stays bare.
+	sinks := obsFlags.Sinks(spanFlags, *statsIvl, logger)
+	reg := telemetry.NewRegistry()
+	if sinks.Enabled(*statsOut) {
 		s.RegisterMetrics(reg.Root())
 		phases.RegisterMetrics(reg.Root().Scope("perf"))
-		if spanRec != nil {
-			spanRec.RegisterMetrics(reg.Root().Scope("span"))
+		finish, err := sinks.Attach(reg, label, s, *statsOut, *traceOut)
+		if err != nil {
+			die("create telemetry sinks", err)
 		}
-		sinks := telemetry.SamplerConfig{Interval: *statsIvl}
-		var dog *watch.Dog
-		if spanFlags.Watch {
-			// The watchdog consumes the sampler's interval rows in process;
-			// -watch therefore forces a sampler even with no file sink.
-			dog = watch.New(reg, watch.Config{
-				Notify: obs.WatchNotifier(logger, broker, label),
-			})
-			dog.RegisterMetrics(reg.Root().Scope("watch"))
-			sinks.Observer = dog.ObserveRow
-		}
-		if *statsOut != "" {
-			f, err := os.Create(*statsOut)
-			if err != nil {
-				die("create stats sink", err)
+		defer func() {
+			if err := finish(); err != nil {
+				die("telemetry sink", err)
 			}
-			defer f.Close()
-			if strings.HasSuffix(*statsOut, ".csv") {
-				sinks.CSV = f
-			} else {
-				sinks.JSONL = f
-			}
-		}
-		if broker != nil {
-			bw := broker.SampleWriter(label)
-			if sinks.JSONL != nil {
-				sinks.JSONL = io.MultiWriter(bw, sinks.JSONL)
-			} else {
-				sinks.JSONL = bw
-			}
-		}
-		if sinks.JSONL != nil || sinks.CSV != nil || sinks.Observer != nil {
-			sp, err := telemetry.NewSampler(reg, sinks)
-			if err != nil {
-				die("build sampler", err)
-			}
-			s.AttachSampler(sp)
-			defer func() {
-				if err := sp.Err(); err != nil {
-					die("stats sink", err)
-				}
-			}()
-		}
-		if *traceOut != "" {
-			defer func() {
-				f, err := os.Create(*traceOut)
-				if err != nil {
-					die("create trace sink", err)
-				}
-				defer f.Close()
-				if err := telemetry.WriteChromeTrace(f, spanRec.TopSpans()); err != nil {
-					die("trace sink", err)
-				}
-			}()
-		}
-		if obsFlags.Listen != "" {
-			var spanHub *obs.SpanHub
-			if spanRec != nil {
-				spanHub = obs.NewSpanHub()
-				spanHub.Register(label, spanRec)
-			}
-			var watchHub *obs.WatchHub
-			if dog != nil {
-				watchHub = obs.NewWatchHub()
-				watchHub.Register(label, dog)
-			}
-			srv := obs.NewServer(obs.Config{
-				Component: "cosmos-sim",
-				Registry:  reg,
-				Runs:      table,
-				Events:    broker,
-				Spans:     spanHub,
-				Watch:     watchHub,
-				Logger:    logger,
-			})
-			if err := srv.Start(obsFlags.Listen); err != nil {
-				die("observability plane", err)
-			}
-			logger.Info("observability plane listening", "addr", srv.URL())
-			defer func() {
-				sdCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-				defer cancel()
-				_ = srv.Shutdown(sdCtx)
-			}()
-		}
+		}()
 	}
+
+	// The single simulation appears as a one-cell run table on /runs.
+	table := obs.NewRunTable(1, sinks.Broker)
+	stopPlane, err := obsFlags.Serve(obs.Config{
+		Component: "cosmos-sim",
+		Registry:  reg,
+		Runs:      table,
+		Events:    sinks.Broker,
+		Spans:     sinks.SpanHub,
+		Watch:     sinks.WatchHub,
+		Logger:    logger,
+	})
+	if err != nil {
+		die("observability plane", err)
+	}
+	defer stopPlane()
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -310,20 +232,15 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	// The single simulation appears as a one-cell run table on /runs.
-	if table != nil {
-		table.Observe(runner.Transition{Key: label, Label: label, Phase: runner.PhaseRunning})
-	}
+	table.Observe(runner.Transition{Key: label, Label: label, Phase: runner.PhaseRunning})
 	started := time.Now()
 	r, runErr := s.RunContext(ctx, trace.Limit(gen, *accesses), *accesses)
 	wall := time.Since(started)
 	pb := phases.Breakdown()
-	if table != nil {
-		table.Observe(runner.Transition{
-			Key: label, Label: label, Phase: runner.PhaseDone,
-			Source: runner.SourceExecuted, ExecTime: wall, Err: runErr, Perf: &pb,
-		})
-	}
+	table.Observe(runner.Transition{
+		Key: label, Label: label, Phase: runner.PhaseDone,
+		Source: runner.SourceExecuted, ExecTime: wall, Err: runErr, Perf: &pb,
+	})
 	if runErr != nil {
 		logger.Warn("simulation stopped early; results are partial",
 			"completed", r.Accesses, "requested", *accesses, "err", runErr)

@@ -7,13 +7,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"cosmos/cmd/internal/cliflags"
 	"cosmos/internal/memsys"
@@ -69,26 +67,19 @@ func main() {
 		reads, writes uint64
 	)
 
-	if obsFlags.Listen != "" {
-		// The profiler's registry: live progress of the sampling loop. The
-		// loop is single-writer; scrapes read the counters torn-read
-		// tolerantly (see DESIGN.md §8).
-		reg := telemetry.NewRegistry()
-		sc := reg.Scope("trace")
-		sc.Counter("reads", &reads)
-		sc.Counter("writes", &writes)
-		sc.CounterFunc("accesses_sampled", func() uint64 { return reads + writes })
-		srv := obs.NewServer(obs.Config{Component: "cosmos-trace", Registry: reg, Logger: logger})
-		if err := srv.Start(obsFlags.Listen); err != nil {
-			die("observability plane", err)
-		}
-		logger.Info("observability plane listening", "addr", srv.URL())
-		defer func() {
-			sdCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(sdCtx)
-		}()
+	// The profiler's registry: live progress of the sampling loop on the
+	// plane. The loop is single-writer; scrapes read the counters torn-read
+	// tolerantly (see DESIGN.md §8).
+	reg := telemetry.NewRegistry()
+	sc := reg.Scope("trace")
+	sc.Counter("reads", &reads)
+	sc.Counter("writes", &writes)
+	sc.CounterFunc("accesses_sampled", func() uint64 { return reads + writes })
+	stopPlane, err := obsFlags.Serve(obs.Config{Component: "cosmos-trace", Registry: reg, Logger: logger})
+	if err != nil {
+		die("observability plane", err)
 	}
+	defer stopPlane()
 
 	if *export != "" {
 		n, err := trace.WriteFile(*export, gen, *accesses)

@@ -22,6 +22,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"math"
 	"os"
 	"runtime"
@@ -93,7 +94,7 @@ func main() {
 			seed:      *seed,
 			parallel:  *par,
 			results:   *results,
-			listen:    obsFlags.Listen,
+			obs:       obsFlags,
 		})
 		os.Exit(code)
 	case "hyper", "rewards":
@@ -113,22 +114,15 @@ func main() {
 	// goroutine reads while the search loop writes).
 	var trialsDone atomic.Uint64
 	var bestMilli atomic.Uint64 // best hit rate × 1000
-	if obsFlags.Listen != "" {
-		reg := telemetry.NewRegistry()
-		sc := reg.Scope("tune")
-		sc.CounterFunc("trials_done", trialsDone.Load)
-		sc.Gauge("best_hit_rate", func() float64 { return float64(bestMilli.Load()) / 1000 })
-		srv := obs.NewServer(obs.Config{Component: "cosmos-tune", Registry: reg, Logger: logger})
-		if err := srv.Start(obsFlags.Listen); err != nil {
-			die("observability plane", err)
-		}
-		logger.Info("observability plane listening", "addr", srv.URL())
-		defer func() {
-			sdCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(sdCtx)
-		}()
+	reg := telemetry.NewRegistry()
+	sc := reg.Scope("tune")
+	sc.CounterFunc("trials_done", trialsDone.Load)
+	sc.Gauge("best_hit_rate", func() float64 { return float64(bestMilli.Load()) / 1000 })
+	stopPlane, err := obsFlags.Serve(obs.Config{Component: "cosmos-tune", Registry: reg, Logger: logger})
+	if err != nil {
+		die("observability plane", err)
 	}
+	defer stopPlane()
 
 	evaluate := func(p core.Params, desc string) {
 		if interrupted {
@@ -222,17 +216,14 @@ type tournamentOpts struct {
 	seed      uint64
 	parallel  int
 	results   string
-	listen    string
+	obs       *cliflags.Obs
 }
 
 // tournament races every candidate policy kind over every workload: each
 // candidate gets its own Lab (the policy pair enters each run's content
 // hash), all labs share one result store, and the leaderboard ranks kinds
 // by geometric-mean NP-normalised speedup against storage cost.
-func tournament(ctx context.Context, logger interface {
-	Info(string, ...any)
-	Error(string, ...any)
-}, o tournamentOpts) int {
+func tournament(ctx context.Context, logger *slog.Logger, o tournamentOpts) int {
 	if len(o.kinds) == 0 || len(o.workloads) == 0 {
 		logger.Error("tournament needs at least one kind and one workload")
 		return 1
@@ -245,7 +236,7 @@ func tournament(ctx context.Context, logger interface {
 	}
 
 	var broker *obs.Broker
-	if o.listen != "" {
+	if o.obs.Listen != "" {
 		broker = obs.NewBroker()
 	}
 	table := obs.NewRunTable(o.parallel, broker)
@@ -261,20 +252,12 @@ func tournament(ctx context.Context, logger interface {
 			logger.Info("resuming tournament", "results_dir", store.Dir(), "completed_runs", n)
 		}
 	}
-	if o.listen != "" {
-		reg := telemetry.NewRegistry()
-		srv := obs.NewServer(obs.Config{Component: "cosmos-tune", Registry: reg, Runs: table, Events: broker})
-		if err := srv.Start(o.listen); err != nil {
-			logger.Error("observability plane", "err", err)
-			return 1
-		}
-		logger.Info("observability plane listening", "addr", srv.URL())
-		defer func() {
-			sdCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(sdCtx)
-		}()
+	stopPlane, err := o.obs.Serve(obs.Config{Component: "cosmos-tune", Runs: table, Events: broker, Logger: logger})
+	if err != nil {
+		logger.Error("observability plane", "err", err)
+		return 1
 	}
+	defer stopPlane()
 
 	sc := experiments.Scaled(o.scale)
 	sc.Seed = o.seed

@@ -4,7 +4,9 @@
 // learned-policy zoo (-policy, -policy-frozen, -list-policies) and the
 // campaign timeout. Each Register* call adds one group to a FlagSet; a
 // command picks exactly the groups it supports, so flag names, defaults and
-// help text stay identical across binaries by construction.
+// help text stay identical across binaries by construction. Obs.Serve and
+// RunSinks are likewise the one place every command starts the plane and
+// attaches per-run telemetry.
 package cliflags
 
 import (

@@ -233,13 +233,17 @@ func RunExperimentContext(ctx context.Context, id string, opts ExperimentOpts) (
 		lopts = append(lopts, experiments.WithStore(st))
 	}
 	if p := opts.Progress; p != nil {
-		lopts = append(lopts, experiments.WithObserver(func(ev runner.Event) {
+		// Every request ends in exactly one PhaseDone transition.
+		lopts = append(lopts, experiments.WithLifecycle(func(t runner.Transition) {
+			if t.Phase != runner.PhaseDone {
+				return
+			}
 			p(RunUpdate{
-				Label:     ev.Label,
-				Source:    ev.Source.String(),
-				QueueWait: ev.QueueWait,
-				ExecTime:  ev.ExecTime,
-				Err:       ev.Err,
+				Label:     t.Label,
+				Source:    t.Source.String(),
+				QueueWait: t.QueueWait,
+				ExecTime:  t.ExecTime,
+				Err:       t.Err,
 			})
 		}))
 	}

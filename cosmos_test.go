@@ -3,8 +3,11 @@ package cosmos
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
+	"cosmos/internal/experiments"
+	"cosmos/internal/runner"
 	"cosmos/internal/secmem"
 )
 
@@ -114,6 +117,68 @@ func TestRunExperimentContextResume(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Fatalf("resumed table differs:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestProgressOneUpdatePerRequest holds Progress to exactly one RunUpdate
+// per run request: the executed and memoised requests of a cold campaign,
+// then the restored and memoised ones of its resume, counted against a
+// reference lab replaying the campaign from the same store. fig17 asks for
+// some cells more than once, so it has memoised requests.
+func TestProgressOneUpdatePerRequest(t *testing.T) {
+	dir := t.TempDir()
+	var updates map[string]uint64
+	opts := ExperimentOpts{ResultsDir: dir, Workers: 1, Progress: func(u RunUpdate) {
+		if u.Err != nil {
+			t.Errorf("update %+v carries an error", u)
+		}
+		updates[u.Source]++
+	}}
+	campaign := func() map[string]uint64 {
+		updates = map[string]uint64{}
+		if _, err := RunExperimentContext(context.Background(), "fig17", opts); err != nil {
+			t.Fatal(err)
+		}
+		return updates
+	}
+	cold, warm := campaign(), campaign()
+
+	st, err := runner.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab := experiments.NewLab(experiments.Scaled(0), experiments.WithStore(st), experiments.WithWorkers(1))
+	e, err := experiments.ByID("fig17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(lab); err != nil {
+		t.Fatal(err)
+	}
+	ref := lab.Orchestrator().Stats()
+	if ref.Restored == 0 || ref.Memoised == 0 {
+		t.Fatalf("reference campaign %+v lacks restored or memoised requests", ref)
+	}
+	wantCold := map[string]uint64{"executed": ref.Restored, "memoised": ref.Memoised}
+	wantWarm := map[string]uint64{"restored": ref.Restored, "memoised": ref.Memoised}
+	if !reflect.DeepEqual(cold, wantCold) || !reflect.DeepEqual(warm, wantWarm) {
+		t.Fatalf("updates cold %v / warm %v, want %v / %v", cold, warm, wantCold, wantWarm)
+	}
+}
+
+func TestProgressReportsFailedRequest(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var updates []RunUpdate
+	_, err := RunExperimentContext(ctx, "fig2", ExperimentOpts{Workers: 1, Progress: func(u RunUpdate) {
+		updates = append(updates, u)
+	}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// The first request fails and fails the lab; later requests never run.
+	if len(updates) != 1 || !errors.Is(updates[0].Err, context.Canceled) {
+		t.Fatalf("updates = %+v, want one failed request", updates)
 	}
 }
 

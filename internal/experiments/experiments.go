@@ -94,14 +94,6 @@ func Scaled(factor float64) Scale {
 type Lab struct {
 	Scale Scale
 
-	// Instrument, when non-nil, is invoked for every simulation the lab
-	// actually executes (memoised recalls are not re-instrumented), after
-	// the System is built and before it runs. label identifies the run
-	// (workload, design and option tweaks, filename-safe). The returned
-	// cleanup, if non-nil, runs after the simulation finishes — close files
-	// there. Instrument may be called concurrently from Prewarm workers.
-	Instrument func(label string, s *sim.System) func()
-
 	ctx   context.Context
 	orch  *runner.Orchestrator
 	fault *fault.Config
@@ -120,7 +112,6 @@ type labOptions struct {
 	ctx        context.Context
 	workers    int
 	store      *runner.Store
-	observer   func(runner.Event)
 	lifecycle  func(runner.Transition)
 	fault      *fault.Config
 	dataPolicy *rl.PolicySpec
@@ -144,12 +135,6 @@ func WithWorkers(n int) LabOption {
 // campaign executing only the missing cells.
 func WithStore(st *runner.Store) LabOption {
 	return func(o *labOptions) { o.store = st }
-}
-
-// WithObserver forwards every completed run request (source, queue wait,
-// execution time, error) to f. May be called concurrently.
-func WithObserver(f func(runner.Event)) LabOption {
-	return func(o *labOptions) { o.observer = f }
 }
 
 // WithLifecycle forwards every run request's phase transitions (queued →
@@ -187,14 +172,7 @@ func NewLab(sc Scale, opts ...LabOption) *Lab {
 	}
 	l := &Lab{Scale: sc, ctx: o.ctx, fault: o.fault, dataPolicy: o.dataPolicy, ctrPolicy: o.ctrPolicy}
 	l.orch = runner.New(runner.Options{Workers: o.workers, Store: o.store})
-	l.orch.Observer = o.observer
 	l.orch.Lifecycle = o.lifecycle
-	l.orch.Instrument = func(label string, s *sim.System) func() {
-		if f := l.Instrument; f != nil {
-			return f(label, s)
-		}
-		return nil
-	}
 	return l
 }
 

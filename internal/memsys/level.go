@@ -53,9 +53,8 @@ type Response struct {
 }
 
 // Level is one layer of the memory hierarchy. Implementations: cache.Level
-// (set-associative on-chip caches), secmem.Level (the secure-memory
-// terminal: data DRAM plus counter/MAC/Merkle metadata) and dram.Level (a
-// bare DRAM terminal). A level owns its downstream link: Access installs
+// (set-associative on-chip caches) and secmem.Level (the secure-memory
+// terminal: data DRAM plus counter/MAC/Merkle metadata). A level owns its downstream link: Access installs
 // the line and forwards any dirty victim to the level below via Writeback,
 // so callers never see a writeback escape the chain.
 type Level interface {

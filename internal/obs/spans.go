@@ -28,9 +28,10 @@ type SpanHub struct {
 func NewSpanHub() *SpanHub { return &SpanHub{recs: make(map[string]*telemetry.SpanRecorder)} }
 
 // Register attaches a run's recorder under its label, replacing any
-// previous recorder with the same label (re-runs of one cell).
+// previous recorder with the same label (re-runs of one cell). A nil hub
+// or recorder is a no-op.
 func (h *SpanHub) Register(label string, rec *telemetry.SpanRecorder) {
-	if rec == nil {
+	if h == nil || rec == nil {
 		return
 	}
 	h.mu.Lock()
@@ -81,9 +82,10 @@ type WatchHub struct {
 // NewWatchHub creates an empty hub.
 func NewWatchHub() *WatchHub { return &WatchHub{dogs: make(map[string]*watch.Dog)} }
 
-// Register attaches a run's watchdog under its label.
+// Register attaches a run's watchdog under its label; a nil hub or
+// watchdog is a no-op.
 func (h *WatchHub) Register(label string, d *watch.Dog) {
-	if d == nil {
+	if h == nil || d == nil {
 		return
 	}
 	h.mu.Lock()

@@ -71,6 +71,27 @@ func TestSpansEndpointWithoutHub(t *testing.T) {
 	}
 }
 
+// TestEmptyHubsServeLikeNoHub: a plane whose hubs never get a recorder or
+// watchdog (span tracing and -watch off) answers exactly like one without
+// hubs, and registering into a nil hub is a no-op.
+func TestEmptyHubsServeLikeNoHub(t *testing.T) {
+	(*SpanHub)(nil).Register("x", telemetry.NewSpanRecorder(1, 1))
+	(*WatchHub)(nil).Register("x", watch.New(nil, watch.Config{}))
+	bare := NewServer(Config{Component: "cosmos-test"})
+	hubs := NewServer(Config{Component: "cosmos-test", Spans: NewSpanHub(), Watch: NewWatchHub()})
+	for _, path := range []string{"/spans", "/phases"} {
+		var bodies [2]string
+		for i, srv := range []*Server{bare, hubs} {
+			w := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+			bodies[i] = w.Body.String()
+		}
+		if bodies[0] != bodies[1] {
+			t.Fatalf("%s: empty hub serves %q, no hub %q", path, bodies[1], bodies[0])
+		}
+	}
+}
+
 func TestPhasesEndpoint(t *testing.T) {
 	hub := NewWatchHub()
 	dog := watch.New(nil, watch.Config{Signals: []string{"sig"}})

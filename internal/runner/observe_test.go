@@ -125,6 +125,16 @@ func TestLifecycleFailurePhases(t *testing.T) {
 		t.Fatal("terminal transition must carry the error")
 	}
 	lg.mu.Unlock()
+	// A failing leader ends once: one PhaseDone, one Failed.
+	done := 0
+	for _, p := range got {
+		if strings.HasPrefix(p, "done/") {
+			done++
+		}
+	}
+	if st := o.Stats(); done != 1 || st.Failed != 1 {
+		t.Fatalf("failing leader: %d done transitions, Failed = %d; want 1 and 1 (%v)", done, st.Failed, got)
+	}
 }
 
 func TestStoreCountersThroughOrchestrator(t *testing.T) {

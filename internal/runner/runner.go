@@ -18,7 +18,8 @@
 //   - panic recovery in workers, converted to typed *PanicError values
 //     instead of tearing down the whole campaign;
 //   - per-run queue-wait and execution-time accounting, exposed through
-//     Stats, the Observer callback and telemetry counters.
+//     Stats, telemetry counters and the one run callback, Lifecycle, which
+//     sees queued → running → done and exactly one PhaseDone per request.
 //
 // Determinism contract: identical Specs yield bit-identical Results
 // regardless of worker count, arrival order, or whether the result was
@@ -80,22 +81,6 @@ func (s Source) String() string {
 	return "unknown"
 }
 
-// Event describes one completed (or failed) Run request.
-type Event struct {
-	Key    string
-	Label  string
-	Source Source
-	// QueueWait is the time spent waiting for a worker slot; ExecTime the
-	// simulation wall time. Both are zero unless Source is SourceExecuted.
-	QueueWait time.Duration
-	ExecTime  time.Duration
-	// Perf is the run's wall-time attribution (decode / step / store /
-	// report plus simulated accesses/sec). Non-nil only for executed runs
-	// of an orchestrator with Phases attached.
-	Perf *telemetry.PhaseBreakdown
-	Err  error
-}
-
 // Phase is one stage of a run request's lifecycle, reported through the
 // Lifecycle hook so an observability plane can maintain a live run table.
 type Phase int
@@ -133,8 +118,8 @@ type Transition struct {
 	Source    Source
 	QueueWait time.Duration
 	ExecTime  time.Duration
-	// Perf is the executed run's wall-time attribution at PhaseDone (see
-	// Event.Perf); nil otherwise.
+	// Perf is an executed run's wall-time attribution at PhaseDone (decode
+	// / step / store / report); nil unless the orchestrator has Phases.
 	Perf *telemetry.PhaseBreakdown
 	Err  error
 }
@@ -190,17 +175,15 @@ type Orchestrator struct {
 
 	// Instrument, when non-nil, is invoked for every simulation actually
 	// executed (not for memoised/restored/deduplicated results), after the
-	// System is built and before it runs; the returned cleanup, if non-nil,
-	// runs after the simulation finishes. It may be called concurrently.
+	// System is built and before it runs; label is the run's filename-safe
+	// display label. The returned cleanup, if non-nil, runs after the
+	// simulation finishes. It may be called concurrently.
 	Instrument func(label string, s *sim.System) func()
-
-	// Observer, when non-nil, receives an Event for every completed Run
-	// request, including failures. It may be called concurrently.
-	Observer func(Event)
 
 	// Lifecycle, when non-nil, receives a Transition at every phase change
 	// of every run request: queued → running → done for executed leaders,
-	// a bare done for memoised/restored/deduplicated results. It may be
+	// a bare done for memoised/restored/deduplicated results. Every request
+	// ends in exactly one PhaseDone, failures included (Err set). It may be
 	// called concurrently; nil costs one branch per transition.
 	Lifecycle func(Transition)
 
@@ -208,8 +191,8 @@ type Orchestrator struct {
 	// attribution: every executed simulation runs the attributed loop
 	// (decode/step/report, see sim.System.AttachPhases) and store I/O is
 	// timed, all folded into this shared accumulator. Each executed run's
-	// own breakdown additionally rides on its PhaseDone Transition and
-	// Event. Nil keeps runs on the untimed loop.
+	// own breakdown additionally rides on its PhaseDone Transition. Nil
+	// keeps runs on the untimed loop.
 	Phases *telemetry.Phases
 
 	workers int
@@ -259,6 +242,18 @@ func (o *Orchestrator) transition(t Transition) {
 	if o.Lifecycle != nil {
 		o.Lifecycle(t)
 	}
+}
+
+// done ends a request: a failure counts in Stats.Failed before the one
+// PhaseDone transition reports it.
+func (o *Orchestrator) done(t Transition) {
+	if t.Err != nil {
+		o.mu.Lock()
+		o.stats.Failed++
+		o.mu.Unlock()
+	}
+	t.Phase = PhaseDone
+	o.transition(t)
 }
 
 // Stats returns a snapshot of the run accounting.
@@ -316,8 +311,7 @@ func (o *Orchestrator) Run(ctx context.Context, spec Spec) (sim.Results, error) 
 	if r, ok := o.memo[key]; ok {
 		o.stats.Memoised++
 		o.mu.Unlock()
-		o.transition(Transition{Key: key, Label: label, Phase: PhaseDone, Source: SourceMemoised})
-		o.notify(Event{Key: key, Label: label, Source: SourceMemoised})
+		o.done(Transition{Key: key, Label: label, Source: SourceMemoised})
 		return cloneResults(r), nil
 	}
 	if c, ok := o.inflight[key]; ok {
@@ -325,18 +319,14 @@ func (o *Orchestrator) Run(ctx context.Context, spec Spec) (sim.Results, error) 
 		o.mu.Unlock()
 		select {
 		case <-c.done:
+			o.done(Transition{Key: key, Label: label, Source: SourceDeduplicated, Err: c.err})
 			if c.err != nil {
-				o.transition(Transition{Key: key, Label: label, Phase: PhaseDone, Source: SourceDeduplicated, Err: c.err})
-				o.fail(Event{Key: key, Label: label, Source: SourceDeduplicated, Err: c.err})
 				return sim.Results{}, c.err
 			}
-			o.transition(Transition{Key: key, Label: label, Phase: PhaseDone, Source: SourceDeduplicated})
-			o.notify(Event{Key: key, Label: label, Source: SourceDeduplicated})
 			return cloneResults(c.res), nil
 		case <-ctx.Done():
 			err := fmt.Errorf("runner: run %s: %w", label, ctx.Err())
-			o.transition(Transition{Key: key, Label: label, Phase: PhaseDone, Source: SourceDeduplicated, Err: err})
-			o.fail(Event{Key: key, Label: label, Source: SourceDeduplicated, Err: err})
+			o.done(Transition{Key: key, Label: label, Source: SourceDeduplicated, Err: err})
 			return sim.Results{}, err
 		}
 	}
@@ -345,7 +335,7 @@ func (o *Orchestrator) Run(ctx context.Context, spec Spec) (sim.Results, error) 
 	o.mu.Unlock()
 	o.transition(Transition{Key: key, Label: label, Phase: PhaseQueued})
 
-	res, ev, err := o.execute(ctx, key, label, spec)
+	res, t, err := o.execute(ctx, key, label, spec)
 	c.res, c.err = res, err
 
 	o.mu.Lock()
@@ -356,17 +346,14 @@ func (o *Orchestrator) Run(ctx context.Context, spec Spec) (sim.Results, error) 
 	o.mu.Unlock()
 	close(c.done)
 
-	ev.Key, ev.Label, ev.Err = key, label, err
-	o.transition(Transition{Key: key, Label: label, Phase: PhaseDone,
-		Source: ev.Source, QueueWait: ev.QueueWait, ExecTime: ev.ExecTime, Perf: ev.Perf, Err: err})
+	t.Key, t.Label, t.Err = key, label, err
+	o.done(t)
 	if err != nil {
-		slog.Debug("run failed", "label", label, "source", ev.Source.String(), "err", err)
-		o.fail(ev)
+		slog.Debug("run failed", "label", label, "source", t.Source.String(), "err", err)
 		return sim.Results{}, err
 	}
-	slog.Debug("run finished", "label", label, "source", ev.Source.String(),
-		"queue_wait", ev.QueueWait, "exec_time", ev.ExecTime)
-	o.notify(ev)
+	slog.Debug("run finished", "label", label, "source", t.Source.String(),
+		"queue_wait", t.QueueWait, "exec_time", t.ExecTime)
 	return cloneResults(res), nil
 }
 
@@ -401,7 +388,7 @@ func (o *Orchestrator) RunAll(ctx context.Context, specs []Spec) error {
 // execute resolves one leader request: store lookup, worker-slot wait,
 // simulation, store write-back — or, with an Executor attached, store
 // lookup followed by delegation to the external fabric.
-func (o *Orchestrator) execute(ctx context.Context, key, label string, spec Spec) (sim.Results, Event, error) {
+func (o *Orchestrator) execute(ctx context.Context, key, label string, spec Spec) (sim.Results, Transition, error) {
 	if o.store != nil {
 		lookup := time.Now()
 		r, ok := o.store.Get(ctx, key)
@@ -412,7 +399,7 @@ func (o *Orchestrator) execute(ctx context.Context, key, label string, spec Spec
 			o.mu.Lock()
 			o.stats.Restored++
 			o.mu.Unlock()
-			return r, Event{Source: SourceRestored}, nil
+			return r, Transition{Source: SourceRestored}, nil
 		}
 	}
 
@@ -424,7 +411,7 @@ func (o *Orchestrator) execute(ctx context.Context, key, label string, spec Spec
 	select {
 	case o.sem <- struct{}{}:
 	case <-ctx.Done():
-		return sim.Results{}, Event{Source: SourceExecuted}, fmt.Errorf("runner: run %s: %w", label, ctx.Err())
+		return sim.Results{}, Transition{Source: SourceExecuted}, fmt.Errorf("runner: run %s: %w", label, ctx.Err())
 	}
 	defer func() { <-o.sem }()
 	queueWait := time.Since(queued)
@@ -434,12 +421,12 @@ func (o *Orchestrator) execute(ctx context.Context, key, label string, spec Spec
 	res, ph, err := o.simulate(ctx, label, spec)
 	execTime := time.Since(started)
 
-	ev := Event{Source: SourceExecuted, QueueWait: queueWait, ExecTime: execTime}
+	t := Transition{Source: SourceExecuted, QueueWait: queueWait, ExecTime: execTime}
 	if err != nil {
 		if ph != nil {
 			o.Phases.Merge(ph)
 		}
-		return sim.Results{}, ev, err
+		return sim.Results{}, t, err
 	}
 	o.mu.Lock()
 	o.stats.Executed++
@@ -458,12 +445,12 @@ func (o *Orchestrator) execute(ctx context.Context, key, label string, spec Spec
 	if ph != nil {
 		o.Phases.Merge(ph)
 		b := ph.Breakdown()
-		ev.Perf = &b
+		t.Perf = &b
 	}
 	if putErr != nil {
-		return sim.Results{}, ev, fmt.Errorf("runner: persist run %s: %w", label, putErr)
+		return sim.Results{}, t, fmt.Errorf("runner: persist run %s: %w", label, putErr)
 	}
-	return res, ev, nil
+	return res, t, nil
 }
 
 // delegate hands a leader request to the attached Executor and books the
@@ -472,7 +459,7 @@ func (o *Orchestrator) execute(ctx context.Context, key, label string, spec Spec
 // before a worker leased the cell) from execution time. The executor is
 // responsible for persistence — no Store.Put happens here, so the fabric's
 // persist-then-acknowledge ordering is the only write path.
-func (o *Orchestrator) delegate(ctx context.Context, key, label string, spec Spec) (sim.Results, Event, error) {
+func (o *Orchestrator) delegate(ctx context.Context, key, label string, spec Spec) (sim.Results, Transition, error) {
 	queued := time.Now()
 	var (
 		mu        sync.Mutex
@@ -498,16 +485,16 @@ func (o *Orchestrator) delegate(ctx context.Context, key, label string, spec Spe
 	}
 	mu.Unlock()
 
-	ev := Event{Source: SourceExecuted, QueueWait: queueWait, ExecTime: execTime}
+	t := Transition{Source: SourceExecuted, QueueWait: queueWait, ExecTime: execTime}
 	if err != nil {
-		return sim.Results{}, ev, err
+		return sim.Results{}, t, err
 	}
 	o.mu.Lock()
 	o.stats.Executed++
 	o.stats.QueueWait += queueWait
 	o.stats.ExecTime += execTime
 	o.mu.Unlock()
-	return res, ev, nil
+	return res, t, nil
 }
 
 // simulate builds and runs one simulation with panic recovery: a panicking
@@ -558,19 +545,6 @@ func (o *Orchestrator) simulate(ctx context.Context, label string, spec Spec) (r
 		return sim.Results{}, ph, fmt.Errorf("runner: run %s: %w", label, err)
 	}
 	return res, ph, nil
-}
-
-func (o *Orchestrator) notify(ev Event) {
-	if o.Observer != nil {
-		o.Observer(ev)
-	}
-}
-
-func (o *Orchestrator) fail(ev Event) {
-	o.mu.Lock()
-	o.stats.Failed++
-	o.mu.Unlock()
-	o.notify(ev)
 }
 
 // cloneResults deep-copies the pointer-valued fields so callers can never
