@@ -96,11 +96,15 @@ func BenchmarkStep(b *testing.B) {
 			cfg.MC.MemBytes = 1 << 30
 			s := sim.New(cfg, d)
 			gen := trace.NewUniform(memsys.Region{Base: 1 << 28, Size: 256 << 20, Elem: 1}, 20, 3, 1)
+			var buf [256]memsys.Access
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a, _ := gen.Next()
-				s.Step(a)
+				j := i % len(buf)
+				if j == 0 {
+					gen.NextBlock(buf[:])
+				}
+				s.Step(buf[j])
 			}
 		})
 	}
@@ -136,9 +140,10 @@ func TestStepZeroAllocsAcrossDesigns(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s, gen := warmedSystem(tc.d, policy)
 			const stepsPerRun = 100
+			var buf [stepsPerRun]memsys.Access
 			avg := testing.AllocsPerRun(100, func() {
-				for i := 0; i < stepsPerRun; i++ {
-					a, _ := gen.Next()
+				gen.NextBlock(buf[:])
+				for _, a := range buf {
 					s.Step(a)
 				}
 			})
@@ -161,10 +166,7 @@ func warmedSystem(d secmem.Design, policy *rl.PolicySpec) (*sim.System, trace.Ge
 	cfg.MC.Params.CtrPolicy = policy
 	s := sim.New(cfg, d)
 	gen := trace.NewUniform(memsys.Region{Base: 0, Size: 32 << 20, Elem: 1}, 20, 3, 1)
-	for i := 0; i < 400_000; i++ {
-		a, _ := gen.Next()
-		s.Step(a)
-	}
+	s.Warmup(gen, 400_000)
 	return s, gen
 }
 
@@ -174,9 +176,10 @@ func BenchmarkWorkloadGenDFS(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer trace.CloseIfCloser(gen)
+	var one [1]memsys.Access
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := gen.Next(); !ok {
+		if gen.NextBlock(one[:]) == 0 {
 			b.StopTimer()
 			gen, _ = workloads.Build("DFS", workloads.Options{Threads: 4, GraphNodes: 100_000, GraphDegree: 6, Seed: 1})
 			b.StartTimer()

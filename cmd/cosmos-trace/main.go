@@ -98,42 +98,44 @@ func main() {
 		lastByThread = map[uint8]uint64{}
 		seq, jumps   uint64
 	)
+	var buf [4096]memsys.Access
 sampling:
-	for i := uint64(0); i < *accesses; i++ {
-		if i&4095 == 0 {
-			select {
-			case <-done:
-				logger.Warn("interrupted; profiling what was sampled", "accesses", i)
-				break sampling
-			default:
-			}
+	for i := uint64(0); i < *accesses; {
+		select {
+		case <-done:
+			logger.Warn("interrupted; profiling what was sampled", "accesses", i)
+			break sampling
+		default:
 		}
-		a, ok := gen.Next()
-		if !ok {
+		m := gen.NextBlock(buf[:min(*accesses-i, uint64(len(buf)))])
+		if m == 0 {
 			break
 		}
-		if i < *dump {
-			fmt.Println(a)
-		}
-		if a.Type == memsys.Write {
-			writes++
-		} else {
-			reads++
-		}
-		line := a.Addr.Line()
-		lines[line]++
-		ctrBlocks[line/128] = true
-		perRegion[a.Region]++
-		perThread[a.Thread]++
-		if last, ok := lastByThread[a.Thread]; ok {
-			switch {
-			case line == last || line == last+1:
-				seq++
-			default:
-				jumps++
+		for _, a := range buf[:m] {
+			if i < *dump {
+				fmt.Println(a)
 			}
+			i++
+			if a.Type == memsys.Write {
+				writes++
+			} else {
+				reads++
+			}
+			line := a.Addr.Line()
+			lines[line]++
+			ctrBlocks[line/128] = true
+			perRegion[a.Region]++
+			perThread[a.Thread]++
+			if last, ok := lastByThread[a.Thread]; ok {
+				switch {
+				case line == last || line == last+1:
+					seq++
+				default:
+					jumps++
+				}
+			}
+			lastByThread[a.Thread] = line
 		}
-		lastByThread[a.Thread] = line
 	}
 	total := reads + writes
 	if total == 0 {

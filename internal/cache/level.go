@@ -5,10 +5,9 @@ import (
 	"cosmos/internal/telemetry"
 )
 
-// Level adapts a Cache to the memsys.Level interface, binding it into a
-// hierarchy chain: a fixed lookup latency and a downstream level that
-// receives this cache's dirty victims. The writeback walk is generic — any
-// dirty eviction, whether caused by a demand fill or by an arriving
+// Level binds a Cache into a hierarchy chain: a fixed lookup latency and a
+// downstream memsys.Level link that receives this cache's dirty victims.
+// Any dirty eviction, whether caused by a demand fill or by an arriving
 // writeback, is forwarded to down.Writeback, which cascades recursively
 // until a terminal level absorbs the line.
 type Level struct {
@@ -27,20 +26,11 @@ func NewLevel(c *Cache, lat uint64, down memsys.Level) *Level {
 // Cache exposes the underlying tag store (stats, policy hints).
 func (l *Level) Cache() *Cache { return l.cache }
 
-// Down returns the level this cache writes dirty victims to.
-func (l *Level) Down() memsys.Level { return l.down }
-
-// Name implements memsys.Level.
-func (l *Level) Name() string { return l.cache.Name() }
-
-// Latency implements memsys.Level.
-func (l *Level) Latency() uint64 { return l.lat }
-
-// Probe is the devirtualized hot path: identical semantics to Access —
-// lookup, fill on miss, dirty-victim cascade — without Request/Response
-// struct traffic or interface dispatch at the call site. The simulator's
-// step engine calls it on concrete *Level chains; adapters and the fault
-// plane keep using Access. Only a dirty victim's line is needed here, so a
+// Probe is the level's one access path: a lookup that fills on a miss and
+// sends a dirty victim down the chain before returning whether the line
+// hit. It takes scalars rather than a Request and is called on concrete
+// *Level values, so the simulator's step walk has no struct traffic or
+// interface dispatch. Only a dirty victim's line is needed here, so a
 // clean eviction skips reading the victim's tag.
 func (l *Level) Probe(line uint64, write bool, sig uint16, core int, now uint64) bool {
 	hit, _, _, evLine, _, evDirty := l.cache.probe(line, write, sig, false)
@@ -56,42 +46,15 @@ func (l *Level) Probe(line uint64, write bool, sig uint16, core int, now uint64)
 	return hit
 }
 
-// Access performs a demand lookup and cascades any dirty victim down the
-// chain before returning.
-func (l *Level) Access(r memsys.Request) memsys.Response {
-	res := l.cache.Access(r.Line, r.Write, r.Sig)
-	l.cascade(res, r)
-	return memsys.Response{
-		Hit:          res.Hit,
-		Latency:      l.lat,
-		Evicted:      res.Evicted,
-		EvictedLine:  res.EvictedLine,
-		EvictedDirty: res.EvictedDirty,
-	}
-}
-
-// Writeback installs a dirty victim from the level above. The install is a
-// store (the line is dirty here now); its own victim cascades further down.
+// Writeback implements memsys.Level: it installs a dirty victim from the
+// level above as a store (the line is dirty here now), and its own victim
+// cascades further down.
 func (l *Level) Writeback(r memsys.Request) {
-	res := l.cache.Access(r.Line, true, memsys.SigWriteback)
-	l.cascade(res, r)
+	l.Probe(r.Line, true, memsys.SigWriteback, r.Core, r.Now)
 }
 
-// cascade forwards a dirty victim to the downstream level.
-func (l *Level) cascade(res Result, r memsys.Request) {
-	if res.Evicted && res.EvictedDirty && l.down != nil {
-		l.down.Writeback(memsys.Request{
-			Line:  res.EvictedLine,
-			Write: true,
-			Sig:   memsys.SigWriteback,
-			Core:  r.Core,
-			Now:   r.Now,
-		})
-	}
-}
-
-// RegisterMetrics implements memsys.Level.
+// RegisterMetrics registers the cache's counters under the scope.
 func (l *Level) RegisterMetrics(s *telemetry.Scope) { l.cache.RegisterMetrics(s) }
 
-// ResetStats implements memsys.Level.
+// ResetStats zeroes the cache's measurements, keeping its contents.
 func (l *Level) ResetStats() { l.cache.Stats = Stats{} }

@@ -103,15 +103,18 @@ func AblQuantization(l *Lab) *stats.Table {
 		return t
 	}
 	defer trace.CloseIfCloser(gen)
-	n := l.Scale.Accesses / 4
-	for i := uint64(0); i < n; i++ {
-		a, ok := gen.Next()
-		if !ok {
+	var buf [256]memsys.Access
+	for n := l.Scale.Accesses / 4; n > 0; {
+		m := gen.NextBlock(buf[:min(n, uint64(len(buf)))])
+		if m == 0 {
 			break
 		}
-		pr := dp.Predict(uint64(a.Addr))
-		// synthetic ground truth: large-region addresses are off-chip
-		dp.Learn(pr, a.Addr.Line()%3 != 0)
+		for _, a := range buf[:m] {
+			pr := dp.Predict(uint64(a.Addr))
+			// synthetic ground truth: large-region addresses are off-chip
+			dp.Learn(pr, a.Addr.Line()%3 != 0)
+		}
+		n -= uint64(m)
 	}
 	t.Row("data location", stats.Pct(quantAgreement(p.QStates, dp)))
 	return t

@@ -3,24 +3,8 @@ package graph
 import (
 	"testing"
 
-	"cosmos/internal/memsys"
 	"cosmos/internal/trace"
 )
-
-// collect drains a generator completely (bounded) into a slice.
-func collect(t *testing.T, gen trace.Generator, bound int) []memsys.Access {
-	t.Helper()
-	out := make([]memsys.Access, 0, 1024)
-	for len(out) < bound {
-		a, ok := gen.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, a)
-	}
-	t.Fatalf("stream exceeded bound %d", bound)
-	return nil
-}
 
 // TestAllAlgorithmsDeterministic replays every algorithm twice and demands
 // byte-identical access streams — the property every experiment in the
@@ -41,8 +25,8 @@ func TestAllAlgorithmsDeterministic(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			w1 := NewWorkspace(g, 2, 1<<30)
 			w2 := NewWorkspace(g, 2, 1<<30)
-			a := collect(t, trace.Limit(build(w1), 30000), 30001)
-			b := collect(t, trace.Limit(build(w2), 30000), 30001)
+			a := drainAll(t, trace.Limit(build(w1), 30000), 30001)
+			b := drainAll(t, trace.Limit(build(w2), 30000), 30001)
 			if len(a) != len(b) {
 				t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 			}
@@ -62,8 +46,8 @@ func TestScatterChangesAddressesNotResults(t *testing.T) {
 
 	genS, resS := TriangleCounting(ws)
 	genP, resP := TriangleCounting(wp)
-	collect(t, genS, 1<<26)
-	collect(t, genP, 1<<26)
+	drainAll(t, genS, 1<<26)
+	drainAll(t, genP, 1<<26)
 	if resS.Count() != resP.Count() {
 		t.Fatalf("layout changed the computed result: %d vs %d", resS.Count(), resP.Count())
 	}

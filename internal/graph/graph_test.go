@@ -18,18 +18,22 @@ func smallGraph() *Graph {
 	})
 }
 
+// drainAll drains g to exhaustion, failing the test if the stream reaches
+// max accesses.
 func drainAll(t *testing.T, g trace.Generator, max int) []memsys.Access {
 	t.Helper()
 	var out []memsys.Access
-	for i := 0; i < max; i++ {
-		a, ok := g.Next()
-		if !ok {
+	var buf [256]memsys.Access
+	for {
+		m := g.NextBlock(buf[:])
+		if m == 0 {
 			return out
 		}
-		out = append(out, a)
+		out = append(out, buf[:m]...)
+		if len(out) >= max {
+			t.Fatalf("generator exceeded %d accesses", max)
+		}
 	}
-	t.Fatalf("generator exceeded %d accesses", max)
-	return nil
 }
 
 func TestFromEdgeListCSR(t *testing.T) {
@@ -293,16 +297,8 @@ func TestAccessStreamsStayInRegions(t *testing.T) {
 	lo := memsys.Addr(1 << 30)
 	hi := lo + memsys.Addr(w.Footprint()) + 100*memsys.PageSize
 	check := func(name string, gen trace.Generator) {
-		n := 0
-		for {
-			a, ok := gen.Next()
-			if !ok {
-				break
-			}
-			n++
-			if n > 1<<24 {
-				t.Fatalf("%s: unbounded stream", name)
-			}
+		accs := drainAll(t, gen, 1<<24)
+		for _, a := range accs {
 			if a.Addr < lo || a.Addr >= hi {
 				t.Fatalf("%s: access %#x outside workspace", name, uint64(a.Addr))
 			}
@@ -310,7 +306,7 @@ func TestAccessStreamsStayInRegions(t *testing.T) {
 				t.Fatalf("%s: bad thread %d", name, a.Thread)
 			}
 		}
-		if n == 0 {
+		if len(accs) == 0 {
 			t.Fatalf("%s: empty stream", name)
 		}
 	}

@@ -202,10 +202,10 @@ func (e *Engine) AttachSpans(rec *telemetry.SpanRecorder) { e.spans = rec }
 // returned latency and in the traffic decomposition. A persistent counter
 // fault additionally forces the block's data lines to be re-encrypted under
 // a fresh counter (the line is retired; its old counter can't be trusted).
-func (e *Engine) faultProbe(k fault.Kind, now uint64, addr memsys.Addr, detectable bool) (lat uint64, poisoned bool) {
+func (e *Engine) faultProbe(k fault.Kind, now uint64, addr memsys.Addr, detectable bool) (lat uint64) {
 	out := e.faults.OnFetch(k, addr.Line(), detectable)
 	if !out.Injected {
-		return 0, false
+		return 0
 	}
 	for i := uint64(0); i < out.Retries; i++ {
 		switch k {
@@ -227,7 +227,7 @@ func (e *Engine) faultProbe(k fault.Kind, now uint64, addr memsys.Addr, detectab
 	if out.Poisoned && k == fault.KindCtr {
 		e.reencryptBlock(now+lat, addr.Line())
 	}
-	return lat, out.Poisoned
+	return lat
 }
 
 // reencryptBlock re-encrypts every data line covered by the counter at
@@ -257,30 +257,23 @@ func (e *Engine) reencryptBlock(now uint64, ctrLine uint64) {
 	}
 }
 
-// DataDRAM performs a demand 64B data access in DRAM and returns its
-// latency. Wasted (killed) fetches from mispredictions use WastedFetch.
+// DataDRAM performs a 64B data access in DRAM and returns its latency.
+// A demand read also rolls the fault stream (a data corruption is
+// detectable only when the design's MAC covers the address), and a faulty
+// read's retries add to the latency; the injector quarantines a line whose
+// retries run out. Wasted (killed) fetches from mispredictions use
+// WastedFetch.
 func (e *Engine) DataDRAM(now uint64, addr memsys.Addr, write bool) uint64 {
-	lat, _ := e.dataAccess(now, addr, write)
-	return lat
-}
-
-// dataAccess is DataDRAM plus fault semantics: demand reads roll the fault
-// stream (a data corruption is detectable only when the design's MAC covers
-// the address) and report whether the returned value comes from a poisoned
-// line.
-func (e *Engine) dataAccess(now uint64, addr memsys.Addr, write bool) (lat uint64, poisoned bool) {
 	if write {
 		e.Traffic.DataWrite++
 	} else {
 		e.Traffic.DataRead++
 	}
-	lat = e.dram.Access(now, uint64(addr), write)
+	lat := e.dram.Access(now, uint64(addr), write)
 	if e.faults != nil && !write {
-		flat, p := e.faultProbe(fault.KindData, now+lat, addr, e.design.Secure && e.InSecureRegion(addr))
-		lat += flat
-		poisoned = p
+		lat += e.faultProbe(fault.KindData, now+lat, addr, e.design.Secure && e.InSecureRegion(addr))
 	}
-	return lat, poisoned
+	return lat
 }
 
 // WastedFetch charges DRAM for a speculative data fetch that was killed
@@ -341,8 +334,7 @@ func (e *Engine) CtrAccess(c int, now uint64, dataLine uint64, write bool) CtrRe
 		lat := e.dram.Access(now, uint64(ctrAddr), false)
 		e.Traffic.CtrRead++
 		if e.faults != nil {
-			flat, _ := e.faultProbe(fault.KindCtr, now+lat, ctrAddr, true)
-			lat += flat
+			lat += e.faultProbe(fault.KindCtr, now+lat, ctrAddr, true)
 		}
 		e.verifyPath(c, now, ctrBlock)
 		res.Latency = lat + e.cfg.CombineLat

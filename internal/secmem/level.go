@@ -1,43 +1,21 @@
 package secmem
 
-import (
-	"cosmos/internal/memsys"
-	"cosmos/internal/telemetry"
-)
+import "cosmos/internal/memsys"
 
 // Level is the terminal of the memory hierarchy: the secure-memory
-// controller presented through the memsys.Level interface. A demand Access
-// is a data DRAM read; a Writeback absorbs an LLC dirty victim as a data
-// DRAM write plus — for protected addresses — the counter bump and MAC
-// update the write entails. The critical-path metadata work for demand
-// fetches (counter lookup, OTP, MAC verify, integrity walk) stays on the
-// Engine's explicit API, driven by the simulator's fetch-path composer:
-// those chains race the data access rather than serialize behind it, so
-// they cannot hide inside a single Access call.
+// controller on the far end of the LLC's writeback link. A Writeback
+// absorbs an LLC dirty victim as a data DRAM write plus — for protected
+// addresses — the counter bump and MAC update the write entails. Demand
+// fetches never come through here: the simulator's fetch-path composer
+// drives the Engine's explicit API (data DRAM, counter lookup, OTP, MAC
+// verify, integrity walk), because those chains race the data access
+// rather than serialize behind it.
 type Level struct {
 	e *Engine
 }
 
 // NewLevel wraps e as the hierarchy terminal.
 func NewLevel(e *Engine) *Level { return &Level{e: e} }
-
-// Engine exposes the underlying secure-memory controller.
-func (l *Level) Engine() *Engine { return l.e }
-
-// Name implements memsys.Level.
-func (l *Level) Name() string { return "mem" }
-
-// Latency implements memsys.Level: the best-case DRAM read cost; the
-// actual per-request cost is returned by Access.
-func (l *Level) Latency() uint64 { return l.e.dram.MinReadLatency() }
-
-// Access implements memsys.Level: a demand data read from DRAM. Memory
-// never misses, but a read that lands on a line the fault plane quarantined
-// comes back flagged Poisoned.
-func (l *Level) Access(r memsys.Request) memsys.Response {
-	lat, poisoned := l.e.dataAccess(r.Now, memsys.LineToAddr(r.Line), r.Write)
-	return memsys.Response{Hit: true, Latency: lat, Poisoned: poisoned}
-}
 
 // Writeback absorbs a dirty victim: the data write goes to DRAM, and if
 // the line is protected the counter is bumped (write-allocate in the CTR
@@ -51,9 +29,3 @@ func (l *Level) Writeback(r memsys.Request) {
 		l.e.MACAccess(r.Core, r.Now, r.Line, true)
 	}
 }
-
-// RegisterMetrics implements memsys.Level.
-func (l *Level) RegisterMetrics(s *telemetry.Scope) { l.e.RegisterMetrics(s) }
-
-// ResetStats implements memsys.Level.
-func (l *Level) ResetStats() { l.e.ResetStats() }

@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"cosmos/internal/cache"
 	"cosmos/internal/memsys"
 	"cosmos/internal/secmem"
 )
@@ -28,7 +27,7 @@ func TestEightCoreGeometry(t *testing.T) {
 	}
 
 	s := New(cfg, secmem.DesignCosmos())
-	llc := s.Chain(0)[2].(*cache.Level).Cache()
+	llc := s.Chain(0)[2].Cache()
 	if llc.SizeBytes() != 16<<20 {
 		t.Fatalf("built LLC is %d bytes, want 16MB", llc.SizeBytes())
 	}

@@ -20,8 +20,8 @@ func engineConfig() Config {
 // engineRun executes 40,000 accesses of a four-thread interleave of mixed
 // patterns, with enough writes that dirty writebacks escape the private
 // levels, and returns the Results and the ordered fault violation log.
-// block false selects the raw scalar engine (gen.Next + Step, no block
-// decoding); true the block-decoded RunContext loop.
+// block false selects the raw scalar engine (one access decoded and
+// stepped at a time, block size 1); true the block-decoded RunContext loop.
 func engineRun(cfg Config, design secmem.Design, block bool) (Results, []fault.Event) {
 	const accesses = 40_000
 	r := memsys.Region{Base: 1 << 28, Size: 64 << 20, Elem: 1}
@@ -39,8 +39,9 @@ func engineRun(cfg Config, design secmem.Design, block bool) (Results, []fault.E
 	if block {
 		return s.Run(gen, accesses), events
 	}
-	for a, ok := gen.Next(); ok; a, ok = gen.Next() {
-		s.Step(a)
+	var one [1]memsys.Access
+	for gen.NextBlock(one[:]) == 1 {
+		s.Step(one[0])
 	}
 	return s.Results(gen.Name()), events
 }

@@ -178,13 +178,12 @@ type System struct {
 	// the same Level values in every chain. Each level's writeback link is
 	// wired to the next; the last level drains into the secure-memory
 	// terminal. The chains are held concretely so the step hot path probes
-	// them without interface dispatch; Chain exposes the memsys.Level view.
+	// them without interface dispatch.
 	chains     [][]*cache.Level
 	specs      []LevelSpec
 	lats       []uint64 // specs[i].Lat, indexed like chains[c]
 	sharedFrom int
 	mc         *secmem.Engine
-	terminal   *secmem.Level
 
 	// plan is the per-design fetch-plan profile, precomputed at New so
 	// planFetch does not re-derive the design/region decision per miss.
@@ -224,7 +223,6 @@ func New(cfg Config, design secmem.Design) *System {
 	s := &System{cfg: cfg, design: design}
 	s.specs = cfg.levelSpecs()
 	s.mc = secmem.NewEngine(cfg.MC, design)
-	s.terminal = secmem.NewLevel(s.mc)
 	if cfg.Fault.Enabled() {
 		in, err := fault.NewInjector(*cfg.Fault)
 		if err != nil {
@@ -253,7 +251,7 @@ func New(cfg Config, design secmem.Design) *System {
 	}
 
 	// Shared tail, built once.
-	var down memsys.Level = s.terminal
+	var down memsys.Level = secmem.NewLevel(s.mc)
 	shared := make([]*cache.Level, len(s.specs)-s.sharedFrom)
 	for i := len(s.specs) - 1; i >= s.sharedFrom; i-- {
 		l := newLevel(s.specs[i], down)
@@ -299,19 +297,10 @@ func (s *System) MC() *secmem.Engine { return s.mc }
 func (s *System) Faults() *fault.Injector { return s.faults }
 
 // Chain returns core c's on-chip hierarchy, top (L1) first. Shared levels
-// appear in every core's chain as the same Level value; the secure-memory
-// terminal is not included (see Terminal).
-func (s *System) Chain(c int) []memsys.Level {
-	out := make([]memsys.Level, len(s.chains[c]))
-	for i, l := range s.chains[c] {
-		out[i] = l
-	}
-	return out
-}
-
-// Terminal returns the secure-memory level the last on-chip level drains
-// into.
-func (s *System) Terminal() memsys.Level { return s.terminal }
+// appear in every core's chain as the same *cache.Level; the secure-memory
+// terminal the last level drains into is not included. The slice is the
+// system's own: callers must not modify it.
+func (s *System) Chain(c int) []*cache.Level { return s.chains[c] }
 
 // RegisterMetrics registers the whole system's metric set under root:
 // run-level access counters and derived rates, the off-chip fetch-latency
@@ -508,12 +497,16 @@ func (s *System) advance(c int, write, dep bool, lat uint64) {
 // Use it to measure steady-state behaviour without the cold-start
 // transient.
 func (s *System) Warmup(gen trace.Generator, n uint64) {
-	for i := uint64(0); i < n; i++ {
-		a, ok := gen.Next()
-		if !ok {
+	var buf [phaseBlock]memsys.Access
+	for n > 0 {
+		m := gen.NextBlock(buf[:min(n, phaseBlock)])
+		if m == 0 {
 			break
 		}
-		s.Step(a)
+		for _, a := range buf[:m] {
+			s.Step(a)
+		}
+		n -= uint64(m)
 	}
 	s.ResetStats()
 }
@@ -557,13 +550,13 @@ const CancelCheckEvery = 4096
 
 // RunContext is Run with cooperative cancellation and block decoding:
 // accesses are pulled from the generator a block at a time (through
-// trace.NextBlock, so BlockGenerator implementations decode in bulk) and
-// stepped a block at a time. Workload generators are pure streams — they
-// never observe simulator state — so decoding up to a block ahead cannot
-// change the access sequence. The context is checked once per block, and on
-// cancellation the partial Results accumulated so far are returned together
-// with ctx.Err(); a Background (or otherwise non-cancellable) context costs
-// nothing — its nil Done channel skips the poll entirely.
+// trace.NextBlock) and stepped a block at a time. Workload generators are
+// pure streams — they never observe simulator state — so decoding up to a
+// block ahead cannot change the access sequence. The context is checked
+// once per block, and on cancellation the partial Results accumulated so
+// far are returned together with ctx.Err(); a Background (or otherwise
+// non-cancellable) context costs nothing — its nil Done channel skips the
+// poll entirely.
 func (s *System) RunContext(ctx context.Context, gen trace.Generator, maxAccesses uint64) (Results, error) {
 	defer trace.CloseIfCloser(gen)
 	done := ctx.Done()

@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"cosmos/internal/cache"
 	"cosmos/internal/memsys"
 	"cosmos/internal/secmem"
 	"cosmos/internal/trace"
@@ -25,13 +24,50 @@ func TestWarmupClearsMeasurementsKeepsState(t *testing.T) {
 	}
 	// Learned state survives: the first post-warmup access to a recently
 	// touched hot line should hit on-chip.
-	l1 := s.Chain(0)[0].(*cache.Level).Cache()
+	l1 := s.Chain(0)[0].Cache()
 	hits0 := l1.Stats.Hits
 	probe := memsys.Access{Addr: 1 << 28}
 	s.Step(probe)
 	s.Step(probe)
 	if l1.Stats.Hits == hits0 {
 		t.Fatal("caches were flushed by warmup")
+	}
+}
+
+// TestWarmupKeepsStreamPosition pins how much of the stream Warmup
+// consumes: exactly n accesses, with no read-ahead, so a run that follows
+// it starts at access n. 20,001 is not a multiple of the decode block, and
+// the mix's producer returns short blocks at its batch boundaries.
+func TestWarmupKeepsStreamPosition(t *testing.T) {
+	const n = 20_001
+	for name, build := range map[string]func() trace.Generator{
+		"uniform": func() trace.Generator { return trace.NewUniform(region(1<<28, 64<<20), 10, 5, 1) },
+		"mix": func() trace.Generator {
+			g, err := workloads.BuildMix([]string{"mcf", "omnetpp"}, workloads.Options{Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		},
+	} {
+		fresh := build()
+		var want [n + 1]memsys.Access
+		for got := 0; got < len(want); {
+			m := trace.NextBlock(fresh, want[got:])
+			if m == 0 {
+				t.Fatalf("%s: stream ended after %d accesses", name, got)
+			}
+			got += m
+		}
+		trace.CloseIfCloser(fresh)
+
+		g := build()
+		New(testConfig(), secmem.DesignCosmos()).Warmup(g, n)
+		var next [1]memsys.Access
+		if trace.NextBlock(g, next[:]) != 1 || next[0] != want[n] {
+			t.Fatalf("%s: after Warmup(%d) the stream yields %+v, want access %d = %+v", name, n, next[0], n, want[n])
+		}
+		trace.CloseIfCloser(g)
 	}
 }
 

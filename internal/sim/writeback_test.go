@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"cosmos/internal/cache"
 	"cosmos/internal/secmem"
 	"cosmos/internal/trace"
 )
@@ -23,7 +22,7 @@ func TestDRAMWriteConservation(t *testing.T) {
 			r := s.Run(trace.Limit(gen, 120000), 120000)
 
 			chain := s.Chain(0)
-			llc := chain[len(chain)-1].(*cache.Level).Cache()
+			llc := chain[len(chain)-1].Cache()
 			if llc.Stats.Writebacks == 0 {
 				t.Fatal("no LLC dirty evictions; property vacuous")
 			}

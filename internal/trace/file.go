@@ -51,27 +51,31 @@ func WriteFile(path string, gen Generator, n uint64) (written uint64, err error)
 	if _, err := bw.Write(header); err != nil {
 		return 0, err
 	}
-	var rec [recordBytes]byte
+	var blk [256]memsys.Access
+	var recs [len(blk) * recordBytes]byte
 	for written < n {
-		a, ok := gen.Next()
-		if !ok {
+		m := gen.NextBlock(blk[:min(n-written, uint64(len(blk)))])
+		if m == 0 {
 			break
 		}
-		binary.LittleEndian.PutUint64(rec[0:], uint64(a.Addr))
-		var flags byte
-		if a.Type == memsys.Write {
-			flags |= 1
+		for i, a := range blk[:m] {
+			rec := recs[i*recordBytes : (i+1)*recordBytes]
+			binary.LittleEndian.PutUint64(rec[0:], uint64(a.Addr))
+			var flags byte
+			if a.Type == memsys.Write {
+				flags |= 1
+			}
+			if a.Dep {
+				flags |= 2
+			}
+			rec[8] = flags
+			rec[9] = a.Thread
+			binary.LittleEndian.PutUint16(rec[10:], a.Region)
 		}
-		if a.Dep {
-			flags |= 2
-		}
-		rec[8] = flags
-		rec[9] = a.Thread
-		binary.LittleEndian.PutUint16(rec[10:], a.Region)
-		if _, err := bw.Write(rec[:]); err != nil {
+		if _, err := bw.Write(recs[:m*recordBytes]); err != nil {
 			return written, err
 		}
-		written++
+		written += uint64(m)
 	}
 	if err := bw.Flush(); err != nil {
 		return written, err
@@ -132,30 +136,8 @@ func OpenFile(path string) (*FileGenerator, error) {
 // Name implements Generator.
 func (g *FileGenerator) Name() string { return g.name }
 
-// Next implements Generator.
-func (g *FileGenerator) Next() (memsys.Access, bool) {
-	if g.eof {
-		return memsys.Access{}, false
-	}
-	var rec [recordBytes]byte
-	if _, err := io.ReadFull(g.r, rec[:]); err != nil {
-		g.eof = true
-		return memsys.Access{}, false
-	}
-	a := memsys.Access{
-		Addr:   memsys.Addr(binary.LittleEndian.Uint64(rec[0:])),
-		Thread: rec[9],
-		Region: binary.LittleEndian.Uint16(rec[10:]),
-	}
-	if rec[8]&1 != 0 {
-		a.Type = memsys.Write
-	}
-	a.Dep = rec[8]&2 != 0
-	return a, true
-}
-
-// NextBlock implements BlockGenerator: records are read and decoded in one
-// pass over a block-sized read buffer instead of one ReadFull per record.
+// NextBlock implements Generator: records are read and decoded in one pass
+// over a block-sized read buffer.
 func (g *FileGenerator) NextBlock(dst []memsys.Access) int {
 	if g.eof {
 		return 0

@@ -38,26 +38,16 @@ func TestTraceFileRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer g.Close()
-			ref := src()
-			count := 0
-			for {
-				want, okW := ref.Next()
-				got, okG := g.Next()
-				if okW != okG {
-					t.Fatalf("length mismatch at %d", count)
-				}
-				if !okW {
-					break
-				}
-				if got != want {
-					t.Fatalf("record %d: got %+v want %+v", count, got, want)
-				}
-				count++
+			want := take(src(), 10_000)
+			got := take(g, 10_000)
+			if len(got) != 5000 || len(want) != 5000 {
+				t.Fatalf("replayed %d records of %d", len(got), len(want))
 			}
-			if count != 5000 {
-				t.Fatalf("replayed %d records", count)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("record %d: got %+v want %+v", i, got[i], want[i])
+				}
 			}
-			CloseIfCloser(ref)
 		})
 	}
 }
@@ -74,15 +64,8 @@ func TestTraceFileLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	count := 0
-	for {
-		if _, ok := g.Next(); !ok {
-			break
-		}
-		count++
-	}
-	if count != 42 {
-		t.Fatalf("replayed %d", count)
+	if got := len(take(g, 1000)); got != 42 {
+		t.Fatalf("replayed %d", got)
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 )
 
 // FuzzTraceFile feeds arbitrary bytes to the trace-file parser: OpenFile
-// must either fail with an error or produce a generator whose Next/Close
-// never panic, whatever the input — truncated headers, bad magic, wrong
-// versions, partial records, random garbage.
+// must either fail with an error or produce a generator whose NextBlock and
+// Close never panic, whatever the input — truncated headers, bad magic,
+// wrong versions, partial records, random garbage. The block size the
+// stream is drained with comes from the input too.
 func FuzzTraceFile(f *testing.F) {
 	// A valid file, produced by the writer itself.
 	dir := f.TempDir()
@@ -43,6 +44,11 @@ func FuzzTraceFile(f *testing.F) {
 	f.Add(rec)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		block := 1
+		if len(data) > 0 {
+			block += int(data[len(data)-1])
+		}
+		buf := make([]memsys.Access, block)
 		for _, name := range []string{"in.trace", "in.trace.gz"} {
 			path := filepath.Join(t.TempDir(), name)
 			if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -53,16 +59,23 @@ func FuzzTraceFile(f *testing.F) {
 				continue // rejected: that is a valid outcome
 			}
 			// Accepted: the stream must drain cleanly no matter how the
-			// bytes were truncated or corrupted past the header.
-			for i := 0; i < 1<<16; i++ {
-				if _, ok := g.Next(); !ok {
+			// bytes were truncated or corrupted past the header, and an
+			// uncompressed file yields exactly its whole records.
+			total := 0
+			for total < 1<<16 {
+				m := g.NextBlock(buf)
+				if m == 0 {
 					break
 				}
+				total += m
+			}
+			if want := (len(data) - 8) / recordBytes; name == "in.trace" && total < 1<<16 && total != want {
+				t.Fatalf("decoded %d records from %d bytes, want %d", total, len(data), want)
 			}
 			g.Close()
-			// Next after Close must keep reporting EOF, not panic.
-			if _, ok := g.Next(); ok {
-				t.Fatal("Next returned an access after Close")
+			// NextBlock after Close must keep reporting EOF, not panic.
+			if n := g.NextBlock(buf); n != 0 {
+				t.Fatalf("NextBlock returned %d accesses after Close", n)
 			}
 		}
 	})

@@ -12,45 +12,20 @@ import (
 	"cosmos/internal/rl"
 )
 
-// Generator produces a stream of memory accesses. Next returns ok=false when
-// the stream is exhausted. Implementations must be deterministic for a given
-// construction seed.
+// Generator produces a stream of memory accesses a block at a time.
+// NextBlock fills dst with the next accesses of the stream and returns how
+// many were written. Short reads (0 < n < len(dst)) are allowed mid-stream;
+// 0 means the stream is exhausted. Implementations must be deterministic
+// for a given construction seed, and the stream must not depend on the
+// block sizes a consumer asks for.
 type Generator interface {
 	Name() string
-	Next() (memsys.Access, bool)
-}
-
-// BlockGenerator is the optional block-decoding extension of Generator.
-// NextBlock fills dst with the next accesses of the stream — exactly the
-// sequence repeated Next calls would produce — and returns how many were
-// written. Short reads (0 < n < len(dst)) are allowed mid-stream; 0 means
-// the stream is exhausted. The simulator's batched engine decodes through
-// this interface; generators that don't implement it fall back to Next via
-// the NextBlock helper.
-type BlockGenerator interface {
-	Generator
 	NextBlock(dst []memsys.Access) int
 }
 
-// NextBlock decodes up to len(dst) accesses from g: the block fast path
-// when g implements BlockGenerator, a per-access Next loop otherwise.
-// Callers must treat a short return like BlockGenerator.NextBlock does —
-// keep calling until 0.
-func NextBlock(g Generator, dst []memsys.Access) int {
-	if bg, ok := g.(BlockGenerator); ok {
-		return bg.NextBlock(dst)
-	}
-	n := 0
-	for n < len(dst) {
-		a, ok := g.Next()
-		if !ok {
-			break
-		}
-		dst[n] = a
-		n++
-	}
-	return n
-}
+// NextBlock decodes up to len(dst) accesses from g. Callers must treat a
+// short return as Generator.NextBlock does: keep calling until 0.
+func NextBlock(g Generator, dst []memsys.Access) int { return g.NextBlock(dst) }
 
 // Closer is implemented by generators that own background resources (the
 // goroutine-backed FromFunc producer). Consumers that stop early should
@@ -78,19 +53,7 @@ func Limit(g Generator, n uint64) Generator { return &limited{g: g, left: n} }
 
 func (l *limited) Name() string { return l.g.Name() }
 
-func (l *limited) Next() (memsys.Access, bool) {
-	if l.left == 0 {
-		return memsys.Access{}, false
-	}
-	l.left--
-	a, ok := l.g.Next()
-	if !ok {
-		l.left = 0
-	}
-	return a, ok
-}
-
-// NextBlock implements BlockGenerator: the cap is applied to the block size
+// NextBlock implements Generator: the cap is applied to the block size
 // and the wrapped generator decodes the rest.
 func (l *limited) NextBlock(dst []memsys.Access) int {
 	if l.left == 0 {
@@ -99,7 +62,7 @@ func (l *limited) NextBlock(dst []memsys.Access) int {
 	if uint64(len(dst)) > l.left {
 		dst = dst[:l.left]
 	}
-	n := NextBlock(l.g, dst)
+	n := l.g.NextBlock(dst)
 	l.left -= uint64(n)
 	if n == 0 {
 		l.left = 0
@@ -125,23 +88,12 @@ func Concat(name string, gens ...Generator) Generator {
 
 func (c *concat) Name() string { return c.name }
 
-func (c *concat) Next() (memsys.Access, bool) {
-	for c.cur < len(c.gens) {
-		if a, ok := c.gens[c.cur].Next(); ok {
-			return a, true
-		}
-		CloseIfCloser(c.gens[c.cur])
-		c.cur++
-	}
-	return memsys.Access{}, false
-}
-
-// NextBlock implements BlockGenerator: each phase decodes in bulk, and a
+// NextBlock implements Generator: each phase decodes in bulk, and a
 // block may span the seam between two phases.
 func (c *concat) NextBlock(dst []memsys.Access) int {
 	n := 0
 	for n < len(dst) && c.cur < len(c.gens) {
-		m := NextBlock(c.gens[c.cur], dst[n:])
+		m := c.gens[c.cur].NextBlock(dst[n:])
 		if m == 0 {
 			CloseIfCloser(c.gens[c.cur])
 			c.cur++
@@ -186,34 +138,10 @@ func NewInterleave(name string, gens []Generator, chunk int) *Interleave {
 // Name implements Generator.
 func (iv *Interleave) Name() string { return iv.name }
 
-// Next implements Generator.
-func (iv *Interleave) Next() (memsys.Access, bool) {
-	for iv.alive > 0 {
-		if iv.done[iv.cur] || iv.curLeft == 0 {
-			if !iv.done[iv.cur] && iv.curLeft == 0 {
-				// yield to the next thread
-			}
-			iv.cur = (iv.cur + 1) % len(iv.gens)
-			iv.curLeft = iv.chunk
-			continue
-		}
-		a, ok := iv.gens[iv.cur].Next()
-		if !ok {
-			iv.done[iv.cur] = true
-			iv.alive--
-			continue
-		}
-		iv.curLeft--
-		a.Thread = uint8(iv.cur)
-		return a, true
-	}
-	return memsys.Access{}, false
-}
-
-// NextBlock implements BlockGenerator: each iteration pulls up to the
+// NextBlock implements Generator: each iteration pulls up to the
 // current thread's remaining chunk budget from that thread's stream in one
-// block, stamps the thread id, and rotates — byte-identical to the scalar
-// Next loop, which pulls the same accesses one at a time.
+// block, stamps the thread id, and rotates, so the merged order does not
+// depend on the block sizes asked for.
 func (iv *Interleave) NextBlock(dst []memsys.Access) int {
 	n := 0
 	for n < len(dst) && iv.alive > 0 {
@@ -226,7 +154,7 @@ func (iv *Interleave) NextBlock(dst []memsys.Access) int {
 		if want > iv.curLeft {
 			want = iv.curLeft
 		}
-		m := NextBlock(iv.gens[iv.cur], dst[n:n+want])
+		m := iv.gens[iv.cur].NextBlock(dst[n : n+want])
 		if m == 0 {
 			iv.done[iv.cur] = true
 			iv.alive--
@@ -343,16 +271,7 @@ func (f *funcGen) refill() bool {
 	return true
 }
 
-func (f *funcGen) Next() (memsys.Access, bool) {
-	if f.eof || f.pos >= len(f.buf) && !f.refill() {
-		return memsys.Access{}, false
-	}
-	a := f.buf[f.pos]
-	f.pos++
-	return a, true
-}
-
-// NextBlock implements BlockGenerator: it bulk-copies from the producer's
+// NextBlock implements Generator: it bulk-copies from the producer's
 // current batch, returning a short block at batch boundaries instead of
 // waiting for the batch after it.
 func (f *funcGen) NextBlock(dst []memsys.Access) int {
@@ -398,21 +317,7 @@ func NewSequential(region memsys.Region, writeEvery uint64, sig uint16) *Sequent
 // Name implements Generator.
 func (s *Sequential) Name() string { return "sequential" }
 
-// Next implements Generator.
-func (s *Sequential) Next() (memsys.Access, bool) {
-	if s.lines == 0 {
-		return memsys.Access{}, false
-	}
-	a := memsys.Access{Addr: s.region.Base + memsys.Addr(s.line*memsys.LineSize), Type: memsys.Read, Region: s.region16}
-	s.n++
-	if s.writeEvery != 0 && s.n%s.writeEvery == 0 {
-		a.Type = memsys.Write
-	}
-	s.line = (s.line + 1) % s.lines
-	return a, true
-}
-
-// NextBlock implements BlockGenerator.
+// NextBlock implements Generator.
 func (s *Sequential) NextBlock(dst []memsys.Access) int {
 	if s.lines == 0 {
 		return 0
@@ -446,17 +351,7 @@ func NewUniform(region memsys.Region, writePct int, seed uint64, sig uint16) *Un
 // Name implements Generator.
 func (u *Uniform) Name() string { return "uniform" }
 
-// Next implements Generator.
-func (u *Uniform) Next() (memsys.Access, bool) {
-	line := u.rng.Uint64() % u.lines
-	a := memsys.Access{Addr: u.region.Base + memsys.Addr(line*memsys.LineSize), Type: memsys.Read, Region: u.sig}
-	if u.rng.Intn(100) < u.writePct {
-		a.Type = memsys.Write
-	}
-	return a, true
-}
-
-// NextBlock implements BlockGenerator.
+// NextBlock implements Generator.
 func (u *Uniform) NextBlock(dst []memsys.Access) int {
 	for i := range dst {
 		line := u.rng.Uint64() % u.lines
@@ -514,21 +409,15 @@ func NewZipf(region memsys.Region, n int, theta float64, seed uint64, sig uint16
 // Name implements Generator.
 func (z *Zipf) Name() string { return "zipf" }
 
-// Next implements Generator.
-func (z *Zipf) Next() (memsys.Access, bool) {
-	u := z.rng.Float64()
-	i := sort.SearchFloat64s(z.cum, u)
-	if i >= len(z.perm) {
-		i = len(z.perm) - 1
-	}
-	line := uint64(z.perm[i])
-	return memsys.Access{Addr: z.region.Base + memsys.Addr(line*memsys.LineSize), Type: memsys.Read, Region: z.sig}, true
-}
-
-// NextBlock implements BlockGenerator.
+// NextBlock implements Generator.
 func (z *Zipf) NextBlock(dst []memsys.Access) int {
 	for i := range dst {
-		dst[i], _ = z.Next()
+		r := sort.SearchFloat64s(z.cum, z.rng.Float64())
+		if r >= len(z.perm) {
+			r = len(z.perm) - 1
+		}
+		line := uint64(z.perm[r])
+		dst[i] = memsys.Access{Addr: z.region.Base + memsys.Addr(line*memsys.LineSize), Type: memsys.Read, Region: z.sig}
 	}
 	return len(dst)
 }
@@ -568,14 +457,7 @@ func NewPointerChase(region memsys.Region, n int, seed uint64, sig uint16) *Poin
 // Name implements Generator.
 func (p *PointerChase) Name() string { return "pointer-chase" }
 
-// Next implements Generator.
-func (p *PointerChase) Next() (memsys.Access, bool) {
-	a := memsys.Access{Addr: p.region.Base + memsys.Addr(uint64(p.cur)*memsys.LineSize), Type: memsys.Read, Region: p.sig}
-	p.cur = p.next[p.cur]
-	return a, true
-}
-
-// NextBlock implements BlockGenerator.
+// NextBlock implements Generator.
 func (p *PointerChase) NextBlock(dst []memsys.Access) int {
 	cur := p.cur
 	for i := range dst {

@@ -13,21 +13,9 @@ func region(size uint64) memsys.Region {
 	return memsys.Region{Name: "r", Base: 1 << 20, Size: size, Elem: 1}
 }
 
-func drain(g Generator, max int) []memsys.Access {
-	var out []memsys.Access
-	for len(out) < max {
-		a, ok := g.Next()
-		if !ok {
-			break
-		}
-		out = append(out, a)
-	}
-	return out
-}
-
 func TestSequentialWrapsAndWrites(t *testing.T) {
 	g := NewSequential(region(64*4), 4, 9)
-	got := drain(g, 8)
+	got := take(g, 8)
 	if len(got) != 8 {
 		t.Fatalf("sequential should be endless, got %d", len(got))
 	}
@@ -53,10 +41,10 @@ func TestSequentialWrapsAndWrites(t *testing.T) {
 
 func TestLimit(t *testing.T) {
 	g := Limit(NewSequential(region(64*100), 0, 0), 10)
-	if got := drain(g, 1000); len(got) != 10 {
+	if got := take(g, 1000); len(got) != 10 {
 		t.Fatalf("Limit(10) yielded %d", len(got))
 	}
-	if _, ok := g.Next(); ok {
+	if len(take(g, 1)) != 0 {
 		t.Fatal("exhausted limit must stay exhausted")
 	}
 }
@@ -65,11 +53,11 @@ func TestUniformStaysInRegion(t *testing.T) {
 	r := region(64 * 128)
 	g := NewUniform(r, 30, 42, 0)
 	writes := 0
-	for i := 0; i < 5000; i++ {
-		a, ok := g.Next()
-		if !ok {
-			t.Fatal("uniform must be endless")
-		}
+	got := take(g, 5000)
+	if len(got) != 5000 {
+		t.Fatal("uniform must be endless")
+	}
+	for _, a := range got {
 		if !r.Contains(a.Addr) {
 			t.Fatalf("address %#x outside region", uint64(a.Addr))
 		}
@@ -87,12 +75,10 @@ func TestUniformStaysInRegion(t *testing.T) {
 
 func TestUniformDeterminism(t *testing.T) {
 	r := region(64 * 64)
-	a := NewUniform(r, 0, 7, 0)
-	b := NewUniform(r, 0, 7, 0)
-	for i := 0; i < 100; i++ {
-		x, _ := a.Next()
-		y, _ := b.Next()
-		if x != y {
+	a := take(NewUniform(r, 0, 7, 0), 100)
+	b := take(NewUniform(r, 0, 7, 0), 100)
+	for i := range a {
+		if a[i] != b[i] {
 			t.Fatal("same seed must give same stream")
 		}
 	}
@@ -103,8 +89,7 @@ func TestZipfSkew(t *testing.T) {
 	g := NewZipf(r, 1024, 0.99, 3, 0)
 	counts := map[memsys.Addr]int{}
 	const n = 50000
-	for i := 0; i < n; i++ {
-		a, _ := g.Next()
+	for _, a := range take(g, n) {
 		if !r.Contains(a.Addr) {
 			t.Fatalf("zipf escaped region: %#x", uint64(a.Addr))
 		}
@@ -131,8 +116,7 @@ func TestPointerChaseVisitsEverything(t *testing.T) {
 	r := region(64 * n)
 	g := NewPointerChase(r, n, 11, 0)
 	seen := map[memsys.Addr]bool{}
-	for i := 0; i < n; i++ {
-		a, _ := g.Next()
+	for _, a := range take(g, n) {
 		seen[a.Addr] = true
 	}
 	// Sattolo permutation is a single cycle: n steps visit n lines.
@@ -140,9 +124,7 @@ func TestPointerChaseVisitsEverything(t *testing.T) {
 		t.Fatalf("cycle visited %d/%d lines", len(seen), n)
 	}
 	// And then repeats the same cycle.
-	first, _ := NewPointerChase(r, n, 11, 0).Next()
-	again, _ := g.Next()
-	if first != again {
+	if take(NewPointerChase(r, n, 11, 0), 1)[0] != take(g, 1)[0] {
 		t.Fatal("cycle must repeat deterministically")
 	}
 }
@@ -152,7 +134,7 @@ func TestInterleaveRoundRobin(t *testing.T) {
 		return Limit(NewSequential(memsys.Region{Base: memsys.Addr(base), Size: 64 * 1000, Elem: 1}, 0, 0), 6)
 	}
 	iv := NewInterleave("mix", []Generator{mk(0), mk(1 << 30)}, 2)
-	got := drain(iv, 100)
+	got := take(iv, 100)
 	if len(got) != 12 {
 		t.Fatalf("merged %d accesses, want 12", len(got))
 	}
@@ -169,7 +151,7 @@ func TestInterleaveSurvivesUnevenStreams(t *testing.T) {
 	short := Limit(NewSequential(region(64*10), 0, 0), 3)
 	long := Limit(NewSequential(region(64*10), 0, 0), 9)
 	iv := NewInterleave("mix", []Generator{short, long}, 2)
-	got := drain(iv, 100)
+	got := take(iv, 100)
 	if len(got) != 12 {
 		t.Fatalf("merged %d, want 12", len(got))
 	}
@@ -187,7 +169,7 @@ func TestFromFuncStreams(t *testing.T) {
 			emit(memsys.Access{Addr: memsys.Addr(i * 64)})
 		}
 	})
-	got := drain(g, 20000)
+	got := take(g, 20000)
 	if len(got) != 10000 {
 		t.Fatalf("got %d accesses", len(got))
 	}
@@ -196,7 +178,7 @@ func TestFromFuncStreams(t *testing.T) {
 			t.Fatalf("order broken at %d", i)
 		}
 	}
-	if _, ok := g.Next(); ok {
+	if len(take(g, 1)) != 0 {
 		t.Fatal("exhausted FromFunc must report eof")
 	}
 }
@@ -210,11 +192,11 @@ func TestFromFuncCloseCancels(t *testing.T) {
 			}
 		}
 	})
-	if _, ok := g.Next(); !ok {
+	if len(take(g, 1)) != 1 {
 		t.Fatal("first access should arrive")
 	}
 	CloseIfCloser(g) // must not deadlock
-	if _, ok := g.Next(); ok {
+	if len(take(g, 1)) != 0 {
 		t.Fatal("closed generator must be exhausted")
 	}
 }
@@ -261,7 +243,7 @@ func TestFromFuncCloseLeaksNoGoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
 	var emitted atomic.Int64
 	g := FromFunc("counting", countingProgram(&emitted))
-	if _, ok := g.Next(); !ok {
+	if len(take(g, 1)) != 1 {
 		t.Fatal("first access should arrive")
 	}
 	// Both buffers filled: the producer now waits for the consumer.
@@ -295,7 +277,7 @@ func TestConcatChainsPhases(t *testing.T) {
 	if g.Name() != "mcf,DFS" {
 		t.Fatalf("name = %q", g.Name())
 	}
-	got := drain(g, 1000)
+	got := take(g, 1000)
 	if len(got) != 10 {
 		t.Fatalf("concat of 5+5 yielded %d", len(got))
 	}
@@ -305,11 +287,11 @@ func TestConcatChainsPhases(t *testing.T) {
 			t.Fatalf("access %d at %#x crosses the phase seam wrong", i, uint64(a.Addr))
 		}
 	}
-	if _, ok := g.Next(); ok {
+	if len(take(g, 1)) != 0 {
 		t.Fatal("exhausted concat must stay exhausted")
 	}
 
-	// Block decoding spans the seam and matches Next exactly.
+	// A larger block spans the seam and matches the stream exactly.
 	g2 := mk()
 	buf := make([]memsys.Access, 8)
 	if n := NextBlock(g2, buf); n != 8 {

@@ -42,14 +42,13 @@ func chainDigest(next []uint32) string {
 // as Addr (8 bytes LE), Type, Thread, Region (2 bytes LE) and Dep (0/1).
 func streamDigest(t *testing.T, g trace.Generator, n int) string {
 	t.Helper()
-	defer trace.CloseIfCloser(g)
+	accs := take(t, g, n)
+	if len(accs) != n {
+		t.Fatalf("stream ended after %d of %d accesses", len(accs), n)
+	}
 	h := sha256.New()
 	var b [13]byte
-	for i := 0; i < n; i++ {
-		a, ok := g.Next()
-		if !ok {
-			t.Fatalf("stream ended after %d of %d accesses", i, n)
-		}
+	for _, a := range accs {
 		binary.LittleEndian.PutUint64(b[0:], uint64(a.Addr))
 		b[8] = byte(a.Type)
 		b[9] = a.Thread

@@ -11,16 +11,17 @@ import (
 
 func take(t *testing.T, g trace.Generator, n int) []memsys.Access {
 	t.Helper()
-	out := make([]memsys.Access, 0, n)
-	for len(out) < n {
-		a, ok := g.Next()
-		if !ok {
+	out := make([]memsys.Access, n)
+	got := 0
+	for got < n {
+		m := g.NextBlock(out[got:])
+		if m == 0 {
 			break
 		}
-		out = append(out, a)
+		got += m
 	}
 	trace.CloseIfCloser(g)
-	return out
+	return out[:got]
 }
 
 func distinctLines(accs []memsys.Access) int {
