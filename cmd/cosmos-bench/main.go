@@ -5,7 +5,9 @@
 //	cosmos-bench -list                 # available experiment ids
 //
 // Runs are memoised within one invocation, so composite sweeps (fig10-14
-// share the same simulations) cost each configuration once. With
+// share the same simulations) cost each configuration once. Whatever -exp
+// selects, every cell its experiments request first runs in parallel on
+// -parallel workers; the tables then render in order from the memo. With
 // -results-dir every completed simulation is also persisted to disk, so an
 // interrupted campaign rerun with the same directory executes only the
 // missing cells. SIGINT/SIGTERM (and -timeout) cancel mid-simulation and
@@ -359,35 +361,23 @@ func run() int {
 		return true
 	}
 
-	// The prewarm pass floods the orchestrator with the whole evaluation
-	// matrix at once. A coordinator always wants that, whatever -exp and
-	// -parallel say: the figure generators render cells serially, and only
-	// a full lease queue lets the worker fleet actually run in parallel
-	// (delegated cells don't occupy local worker slots).
-	if (*par > 1 && *exp == "all") || coordinator != nil {
-		start := time.Now()
-		if err := experiments.Prewarm(lab); err != nil {
-			logger.Error("prewarm failed", "err", err)
-			if coordinator != nil {
-				finishServe(coordinator, logger, serveGrace(coordFlags))
-			}
-			return exitCampaign
-		}
-		fmt.Printf("(prewarmed evaluation matrix with %d workers in %.1fs)\n\n", *par, time.Since(start).Seconds())
-	}
-	if *exp == "all" {
-		for _, e := range experiments.All() {
-			if !runExp(e) {
-				break
-			}
-		}
-	} else {
+	exps := experiments.All()
+	if *exp != "all" {
 		e, err := experiments.ByID(*exp)
 		if err != nil {
 			logger.Error("unknown experiment", "err", err)
 			return exitUsage
 		}
-		runExp(e)
+		exps = []experiments.Experiment{e}
+	}
+	// The worker pool (or a coordinator's fleet) runs every requested cell
+	// in parallel, and the serial render below finds them memoised. A
+	// prewarm failure is recorded on the lab; the first render reports it.
+	_ = experiments.Prewarm(lab, exps...)
+	for _, e := range exps {
+		if !runExp(e) {
+			break
+		}
 	}
 	if coordinator != nil {
 		finishServe(coordinator, logger, serveGrace(coordFlags))

@@ -137,6 +137,9 @@ sampling:
 			lastByThread[a.Thread] = line
 		}
 	}
+	if err := trace.Err(gen); err != nil {
+		die("profile", err)
+	}
 	total := reads + writes
 	if total == 0 {
 		die("profile", fmt.Errorf("workload produced no accesses"))

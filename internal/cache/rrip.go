@@ -14,14 +14,6 @@ type RRIP struct {
 // NewRRIP builds SRRIP with the paper's parameters (insert 2, max 3).
 func NewRRIP() *RRIP { return &RRIP{maxRR: 3, insRR: 2, hitPro: true} }
 
-// NewRRIPWith allows custom insertion/max RRPV for ablation benches.
-func NewRRIPWith(insert, max uint8) *RRIP {
-	if insert > max {
-		insert = max
-	}
-	return &RRIP{maxRR: max, insRR: insert, hitPro: true}
-}
-
 // Name implements Policy.
 func (p *RRIP) Name() string { return "RRIP" }
 

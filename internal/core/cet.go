@@ -210,9 +210,6 @@ func (c *CET) Clear() {
 	c.reset()
 }
 
-// Capacity reports the configured entry count.
-func (c *CET) Capacity() int { return c.capacity }
-
 func (c *CET) bucketOf(block uint64) uint64 { return block >> 6 }
 
 // HitNearby reports whether any resident entry lies within ±window counter

@@ -319,15 +319,6 @@ func (m *Memory) Replay(addr memsys.Addr, ct Line, tag MAC, stale BlockState) er
 	return nil
 }
 
-// LeafDigestOf exposes the current leaf digest for Snapshot/Replay tests.
-func (m *Memory) LeafDigestOf(addr memsys.Addr) (integrity.Digest, error) {
-	line, err := m.checkAddr(addr)
-	if err != nil {
-		return integrity.Digest{}, err
-	}
-	return m.leafDigest(m.ctrs.BlockOf(line)), nil
-}
-
 // CounterOf reports the (major, minor) counter for a line (for examples).
 func (m *Memory) CounterOf(addr memsys.Addr) (major uint64, minor uint32, err error) {
 	line, err := m.checkAddr(addr)

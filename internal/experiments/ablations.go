@@ -24,7 +24,7 @@ func AblLayout(l *Lab) *stats.Table {
 	t := stats.NewTable("Ablation: heap-scattered vs packed CSR layout (DFS, MorphCtr)",
 		"layout", "ctr-miss", "llc-miss", "mt-reads")
 	for _, scattered := range []bool{true, false} {
-		if l.Err() != nil {
+		if l.Err() != nil || l.planning() {
 			break
 		}
 		g := workloads.Graph(l.Scale.GraphNodes, l.Scale.GraphDegree, l.Scale.Seed)
@@ -95,6 +95,9 @@ func AblLCR(l *Lab) *stats.Table {
 // storage budget.
 func AblQuantization(l *Lab) *stats.Table {
 	t := stats.NewTable("Ablation: float vs 8-bit quantized Q decisions", "predictor", "agreement")
+	if l.planning() {
+		return t // the training stream runs outside the lab
+	}
 	p := core.DefaultParams()
 	dp := core.NewDataPredictor(p)
 	gen, err := buildWorkload(l, "DFS", 4)
@@ -233,7 +236,7 @@ func ExtEPC(l *Lab) *stats.Table {
 			name = memsys.Bytes(region-heapBase) + " of heap"
 		}
 		if cyc[0] == 0 || cyc[1] == 0 {
-			break // a run failed; Experiment.Run reports the lab's error
+			continue // a run failed (Experiment.Run reports it) or is being planned
 		}
 		m := float64(np) / float64(cyc[0])
 		c := float64(np) / float64(cyc[1])

@@ -101,6 +101,10 @@ type Lab struct {
 	dataPolicy *rl.PolicySpec
 	ctrPolicy  *rl.PolicySpec
 
+	// plan is non-nil on a planning lab (see Prewarm): runSpec records
+	// each requested spec there instead of simulating it.
+	plan *plan
+
 	mu  sync.Mutex
 	err error
 }
@@ -283,8 +287,13 @@ func policyTag(data, ctr *rl.PolicySpec) string {
 
 // runSpec executes (or recalls) one simulation through the orchestrator.
 // On failure the error is recorded on the lab and zero Results return; the
-// table generator keeps going but Experiment.Run discards its output.
+// table generator keeps going but Experiment.Run discards its output. A
+// planning lab records the spec and returns zero Results the same way.
 func (l *Lab) runSpec(spec runner.Spec) sim.Results {
+	if l.plan != nil {
+		l.plan.add(spec)
+		return sim.Results{}
+	}
 	if l.Err() != nil {
 		return sim.Results{}
 	}
@@ -330,12 +339,6 @@ func (l *Lab) perf(workload string, design secmem.Design, opt runOpts) float64 {
 		return 0
 	}
 	return float64(np.Cycles) / float64(d.Cycles)
-}
-
-// Perf exposes the NP-normalised performance of a design on a workload at
-// this lab's scale — the Fig 10 metric — for external tools and probes.
-func (l *Lab) Perf(workload string, design secmem.Design) float64 {
-	return l.perf(workload, design, runOpts{})
 }
 
 // Run exposes one memoised simulation for external consumers.

@@ -245,14 +245,22 @@ func TestPrewarmMatchesSerial(t *testing.T) {
 	}
 	sc := Scale{GraphNodes: 40_000, GraphDegree: 4, Accesses: 30_000, Seed: 42,
 		Fig8Points: []uint64{30_000}}
+	ids := []string{"fig3", "fig10", "fig16", "fig17", "abl-mee", "ext-epc"}
+	var exps []Experiment
+	for _, id := range ids {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exps = append(exps, e)
+	}
 	serial := NewLab(sc)
 	parallel := NewLab(sc, WithWorkers(8))
-	if err := Prewarm(parallel); err != nil {
+	if err := Prewarm(parallel, exps...); err != nil {
 		t.Fatal(err)
 	}
-	// Any figure rendered from the prewarmed lab must equal the serial one.
-	for _, id := range []string{"fig10", "fig16", "fig17"} {
-		e, _ := ByID(id)
+	// Any table rendered from the prewarmed lab must equal the serial one.
+	for _, e := range exps {
 		a, err := e.Run(serial)
 		if err != nil {
 			t.Fatal(err)
@@ -262,7 +270,44 @@ func TestPrewarmMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		if a.String() != b.String() {
-			t.Fatalf("%s differs between serial and prewarmed labs:\n%s\nvs\n%s", id, a, b)
+			t.Fatalf("%s differs between serial and prewarmed labs:\n%s\nvs\n%s", e.ID, a, b)
 		}
+	}
+}
+
+// TestPrewarmCoversRendering holds the planning pass to the generators: after
+// Prewarm(l, e), rendering e must execute no new lab cell, for every
+// experiment except those whose cells cannot be known before they run.
+func TestPrewarmCoversRendering(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	sc := Scale{GraphNodes: 20_000, GraphDegree: 4, Accesses: 10_000, Seed: 42,
+		Fig8Points: []uint64{5_000, 10_000}}
+	// The exceptions: cells only the render itself can reach.
+	atRender := map[string]struct {
+		cells uint64
+		why   string
+	}{
+		"abl-layout":    {0, "simulates outside the lab, so it has no lab cells"},
+		"abl-quant":     {0, "trains outside the lab, so it has no lab cells"},
+		"policy-matrix": {4, "its serve cells hash the weights trained at render time"},
+	}
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			l := NewLab(sc, WithWorkers(2))
+			if err := Prewarm(l, e); err != nil {
+				t.Fatal(err)
+			}
+			before := l.Orchestrator().Stats().Executed
+			if _, err := e.Run(l); err != nil {
+				t.Fatal(err)
+			}
+			want := atRender[e.ID]
+			if n := l.Orchestrator().Stats().Executed - before; n != want.cells {
+				t.Errorf("%s executed %d cells at render after Prewarm, want %d (%s)",
+					e.ID, n, want.cells, want.why)
+			}
+		})
 	}
 }

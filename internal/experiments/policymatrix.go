@@ -27,6 +27,14 @@ var policyMatrixWorkloads = []string{"mcf", "DFS"}
 func PolicyMatrix(l *Lab) *stats.Table {
 	t := stats.NewTable("Policy zoo: train-on-A / serve-on-B (COSMOS, frozen perceptrons, both roles)",
 		"trained-on", "served-on", "data-agree", "ctr-agree", "perf-vs-NP", "baseline-perf", "ctr-miss")
+	if l.planning() {
+		// The recording runs simulate outside the lab and the serve cells
+		// hash their trained weights: only the baselines plan.
+		for _, w := range policyMatrixWorkloads {
+			l.perf(w, secmem.DesignCosmos(), runOpts{})
+		}
+		return t
+	}
 	for _, trainOn := range policyMatrixWorkloads {
 		if l.Err() != nil || l.canceled() {
 			break

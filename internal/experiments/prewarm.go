@@ -1,54 +1,53 @@
 package experiments
 
-import (
-	"cosmos/internal/runner"
-	"cosmos/internal/secmem"
-)
+import "cosmos/internal/runner"
 
-// prewarmSpecs enumerates the (workload, design, opts) matrix shared by the
-// evaluation figures (10-17) as orchestrator specs, so a parallel prewarm
-// pass can populate the lab's memo (and results store) before the figures
-// render serially.
-func prewarmSpecs(l *Lab) []runner.Spec {
-	var specs []runner.Spec
-	designs4 := []secmem.Design{
-		secmem.DesignNP(), secmem.DesignMorph(), secmem.DesignEMCC(),
-		secmem.DesignRMCC(), secmem.DesignCosmosDP(), secmem.DesignCosmosCP(),
-		secmem.DesignCosmos(),
-	}
-	for _, w := range evalWorkloads() {
-		for _, d := range designs4 {
-			specs = append(specs, l.spec(w, d, runOpts{}))
-		}
-	}
-	// Fig 15's 8-core runs.
-	for _, w := range []string{"BFS", "DFS", "TC", "GC", "CC", "SP", "DC"} {
-		for _, d := range []secmem.Design{secmem.DesignNP(), secmem.DesignMorph(), secmem.DesignCosmos()} {
-			specs = append(specs, l.spec(w, d, runOpts{cores: 8}))
-		}
-	}
-	// Fig 17's ML runs.
-	for _, w := range []string{"AlexNet", "ResNet", "VGG", "BERT", "Transformer", "DLRM"} {
-		for _, d := range []secmem.Design{secmem.DesignNP(), secmem.DesignMorph(), secmem.DesignCosmos()} {
-			specs = append(specs, l.spec(w, d, runOpts{}))
-		}
-	}
-	return specs
+// plan collects the distinct specs a planning lab's generators request,
+// in request order.
+type plan struct {
+	specs []runner.Spec
+	seen  map[string]bool
 }
 
-// Prewarm runs the evaluation-figure simulation matrix through the lab's
-// orchestrator (its worker pool bounds parallelism), populating the memo —
-// and the results store, when the lab has one — so the subsequent serial
-// figure rendering is instant. Every simulation is still deterministic:
-// parallelism only affects wall-clock, never results. The first simulation
-// error (including cancellation) is recorded on the lab and returned.
-func Prewarm(l *Lab) error {
+// add records spec unless an earlier request already has its key: the
+// first request names the cell, exactly as in a serial render.
+func (p *plan) add(spec runner.Spec) {
+	key := spec.Key()
+	if p.seen[key] {
+		return
+	}
+	p.seen[key] = true
+	p.specs = append(p.specs, spec)
+}
+
+// Prewarm runs every lab cell the experiments will request through the
+// lab's orchestrator at once (its worker pool bounds parallelism), so the
+// serial render that follows finds them memoised — and stored, when the
+// lab has a results store. The cell set comes from the generators
+// themselves: each runs against a planning lab with l's scale, faults and
+// policies, whose runs record their spec and return zero Results. Work a
+// generator does outside the lab is skipped while planning and runs at
+// render time. Results never depend on the parallelism. The first
+// simulation error (including cancellation) is recorded on the lab and
+// returned.
+func Prewarm(l *Lab, exps ...Experiment) error {
 	if err := l.Err(); err != nil {
 		return err
 	}
-	if err := l.orch.RunAll(l.ctx, prewarmSpecs(l)); err != nil {
+	planner := &Lab{
+		Scale: l.Scale, ctx: l.ctx, fault: l.fault,
+		dataPolicy: l.dataPolicy, ctrPolicy: l.ctrPolicy,
+		plan: &plan{seen: map[string]bool{}},
+	}
+	for _, e := range exps {
+		e.Gen(planner)
+	}
+	if err := l.orch.RunAll(l.ctx, planner.plan.specs); err != nil {
 		l.fail(err)
 		return err
 	}
 	return nil
 }
+
+// planning reports whether l only records the cells its generators request.
+func (l *Lab) planning() bool { return l.plan != nil }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -240,17 +239,4 @@ func (t *RunTable) etaLocked() (meanMS, etaSeconds float64) {
 	}
 	eta := remaining / time.Duration(t.workers)
 	return float64(mean.Milliseconds()), eta.Seconds()
-}
-
-// SortedSources returns the observed sources in name order (for stable
-// summary lines).
-func (t *RunTable) SortedSources() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, 0, len(t.sources))
-	for k := range t.sources {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -55,12 +55,6 @@ func (t *QTable) Best(s int) (action int, q float64) {
 	return action, q
 }
 
-// MaxQ returns max_a Q(s, a).
-func (t *QTable) MaxQ(s int) float64 {
-	_, q := t.Best(s)
-	return q
-}
-
 // Update applies the temporal-difference rule
 //
 //	Q(s,a) ← Q(s,a) + α [ r + γ·next − Q(s,a) ]

@@ -231,13 +231,6 @@ func (o *Orchestrator) Store() *Store { return o.store }
 // Workers returns the worker-pool capacity (concurrent simulations).
 func (o *Orchestrator) Workers() int { return o.workers }
 
-// MemoLen reports how many completed runs the in-memory memo holds.
-func (o *Orchestrator) MemoLen() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.memo)
-}
-
 func (o *Orchestrator) transition(t Transition) {
 	if o.Lifecycle != nil {
 		o.Lifecycle(t)

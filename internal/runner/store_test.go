@@ -6,6 +6,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"cosmos/internal/memsys"
+	"cosmos/internal/secmem"
+	"cosmos/internal/trace"
 )
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -151,4 +155,40 @@ func replaceOnce(s, old, new string) string {
 		}
 	}
 	return s
+}
+
+// TestDamagedTraceCellFailsUnstored: a file: cell whose trace is cut short
+// fails, and the store keeps no record of it.
+func TestDamagedTraceCellFailsUnstored(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "half.trc.gz")
+	gen := trace.NewUniform(memsys.Region{Base: 1 << 30, Size: 1 << 30, Elem: 1}, 25, 1, 1)
+	if _, err := trace.WriteFile(path, gen, 100_000); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(filepath.Join(dir, "results"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := New(Options{Workers: 1, Store: st})
+	sp := Spec{Workload: "file:" + path, Design: secmem.DesignMorph(), Accesses: 100_000, Seed: 7}
+	if _, err := o.Run(context.Background(), sp); err == nil {
+		t.Fatal("a half-cut trace cell must fail")
+	}
+	if n := st.Len(); n != 0 {
+		t.Fatalf("store holds %d records after a failed cell", n)
+	}
+	if _, ok := st.Get(context.Background(), sp.Key()); ok {
+		t.Fatal("failed cell is readable from the store")
+	}
+	if got := o.Stats().Failed; got != 1 {
+		t.Fatalf("Failed = %d, want 1", got)
+	}
 }

@@ -499,31 +499,6 @@ func (e *Engine) prefetchCtr(c int, now uint64, ctrLine uint64) {
 	}
 }
 
-// SecureFetch computes the critical-path latency of an off-chip data access
-// under this design: the data DRAM fetch in parallel with the counter
-// pipeline (CTR ready → OTP generation), plus the final XOR. ctrLeadCycles
-// is how many cycles earlier the CTR access started relative to `now` (0
-// for the baseline; the L2+LLC lookup time for early designs).
-func (e *Engine) SecureFetch(c int, now uint64, addr memsys.Addr, write bool, ctrDone CtrResult, ctrLeadCycles uint64) uint64 {
-	dataLat := e.DataDRAM(now, addr, write)
-	if !e.design.Secure {
-		return dataLat
-	}
-	e.MACAccess(c, now, addr.Line(), write)
-	ctrLat := ctrDone.Latency
-	if ctrLat > ctrLeadCycles {
-		ctrLat -= ctrLeadCycles
-	} else {
-		ctrLat = 0
-	}
-	otpReady := ctrLat + e.cfg.AESLat
-	lat := dataLat
-	if otpReady > lat {
-		lat = otpReady
-	}
-	return lat + 1 // final XOR
-}
-
 // Crash models a power loss at the memory controller: every volatile
 // metadata structure (CTR caches including resident MT nodes, MAC caches,
 // prefetch marks, optionally the RL tables) is dropped, and the recovery

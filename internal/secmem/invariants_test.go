@@ -3,7 +3,6 @@ package secmem
 import (
 	"testing"
 
-	"cosmos/internal/memsys"
 	"cosmos/internal/rl"
 )
 
@@ -94,20 +93,5 @@ func TestWriteAccessMarksCtrDirty(t *testing.T) {
 	}
 	if e.Traffic.CtrWrite == wb0 {
 		t.Fatal("dirty counter line never written back")
-	}
-}
-
-func TestSecureFetchMACCached(t *testing.T) {
-	e := NewEngine(testConfig(), DesignMorph())
-	res := e.CtrAccess(0, 0, 0, false)
-	e.SecureFetch(0, 0, memsys.LineToAddr(0), false, res, 0)
-	macReads := e.Traffic.MACRead
-	// Lines 1..7 share line 0's MAC block: no further MAC DRAM reads.
-	for l := uint64(1); l < 8; l++ {
-		r := e.CtrAccess(0, uint64(l)*100, l, false)
-		e.SecureFetch(0, uint64(l)*100, memsys.LineToAddr(l), false, r, 0)
-	}
-	if e.Traffic.MACRead != macReads {
-		t.Fatalf("MAC block covering 8 lines re-fetched: %d → %d", macReads, e.Traffic.MACRead)
 	}
 }

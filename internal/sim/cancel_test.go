@@ -3,8 +3,11 @@ package sim
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"cosmos/internal/memsys"
 	"cosmos/internal/secmem"
 	"cosmos/internal/trace"
 )
@@ -42,5 +45,41 @@ func TestRunContextBackgroundMatchesRun(t *testing.T) {
 	a, b := run(false), run(true)
 	if a.Cycles != b.Cycles || a.Traffic != b.Traffic {
 		t.Fatal("RunContext with a background context must match Run exactly")
+	}
+}
+
+// halfCutTrace writes n uniform accesses as a gzip trace file and keeps
+// only the first half of its bytes.
+func halfCutTrace(t *testing.T, n uint64) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "half.trc.gz")
+	gen := trace.NewUniform(memsys.Region{Base: 1 << 30, Size: 1 << 30, Elem: 1}, 25, 1, 1)
+	if _, err := trace.WriteFile(path, gen, n); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRunContextReportsDamagedTrace: a truncated trace file fails the run
+// with the partial Results instead of passing for a complete one.
+func TestRunContextReportsDamagedTrace(t *testing.T) {
+	g, err := trace.OpenFile(halfCutTrace(t, 100_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(DefaultConfig(), secmem.DesignMorph())
+	r, err := s.RunContext(context.Background(), trace.Limit(g, 100_000), 100_000)
+	if err == nil {
+		t.Fatalf("half-cut trace ran %d of 100000 accesses with no error", r.Accesses)
+	}
+	if r.Accesses == 0 || r.Accesses >= 100_000 {
+		t.Fatalf("partial Results cover %d accesses", r.Accesses)
 	}
 }

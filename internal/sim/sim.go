@@ -556,7 +556,8 @@ const CancelCheckEvery = 4096
 // once per block, and on cancellation the partial Results accumulated so
 // far are returned together with ctx.Err(); a Background (or otherwise
 // non-cancellable) context costs nothing — its nil Done channel skips the
-// poll entirely.
+// poll entirely. A stream that failed rather than ended (trace.Err, e.g. a
+// damaged trace file) returns its error with the partial Results.
 func (s *System) RunContext(ctx context.Context, gen trace.Generator, maxAccesses uint64) (Results, error) {
 	defer trace.CloseIfCloser(gen)
 	done := ctx.Done()
@@ -613,7 +614,7 @@ func (s *System) RunContext(ctx context.Context, gen trace.Generator, maxAccesse
 			}
 		}
 	}
-	return s.finishRun(gen.Name()), nil
+	return s.finishRun(gen.Name()), trace.Err(gen)
 }
 
 // finishRun flushes the sampler and assembles Results, booking the wall

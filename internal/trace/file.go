@@ -27,7 +27,8 @@ const (
 	recordBytes = 12
 )
 
-// WriteFile drains up to n accesses from gen into path.
+// WriteFile drains up to n accesses from gen into path. A stream that
+// fails (Err) fails the write.
 func WriteFile(path string, gen Generator, n uint64) (written uint64, err error) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -77,6 +78,9 @@ func WriteFile(path string, gen Generator, n uint64) (written uint64, err error)
 		}
 		written += uint64(m)
 	}
+	if err := Err(gen); err != nil {
+		return written, err
+	}
 	if err := bw.Flush(); err != nil {
 		return written, err
 	}
@@ -88,13 +92,17 @@ func WriteFile(path string, gen Generator, n uint64) (written uint64, err error)
 	return written, nil
 }
 
-// FileGenerator replays a trace file as a Generator.
+// FileGenerator replays a trace file as a Generator. A stream that ends
+// anywhere but cleanly at a record boundary — gzip truncation or
+// corruption, a read failure, a partial last record — still yields every
+// whole record before the damage, then reports why through Err.
 type FileGenerator struct {
 	name string
 	f    *os.File
 	gz   *gzip.Reader
 	r    *bufio.Reader
 	eof  bool
+	err  error
 	blk  []byte // NextBlock read buffer
 }
 
@@ -146,7 +154,22 @@ func (g *FileGenerator) NextBlock(dst []memsys.Access) int {
 	if want > len(g.blk) {
 		g.blk = make([]byte, want)
 	}
-	got, err := io.ReadFull(g.r, g.blk[:want])
+	// A read loop rather than io.ReadFull: ReadFull reports a clean end
+	// after a partial block as io.ErrUnexpectedEOF, which is also what a
+	// truncated gzip stream returns.
+	got := 0
+	var err error
+	for got < want && err == nil {
+		var m int
+		m, err = g.r.Read(g.blk[got:want])
+		got += m
+	}
+	switch {
+	case err == io.EOF && got%recordBytes != 0:
+		g.err = fmt.Errorf("trace: %s: partial last record (%d stray bytes)", g.name, got%recordBytes)
+	case err != nil && err != io.EOF:
+		g.err = fmt.Errorf("trace: %s: %w", g.name, err)
+	}
 	got -= got % recordBytes
 	if got == 0 {
 		g.eof = true
@@ -170,6 +193,10 @@ func (g *FileGenerator) NextBlock(dst []memsys.Access) int {
 	}
 	return got / recordBytes
 }
+
+// Err reports the first error that ended the stream early, or
+// nil after a clean end or while records remain.
+func (g *FileGenerator) Err() error { return g.err }
 
 // Close implements Closer.
 func (g *FileGenerator) Close() {

@@ -60,7 +60,8 @@ func FuzzTraceFile(f *testing.F) {
 			}
 			// Accepted: the stream must drain cleanly no matter how the
 			// bytes were truncated or corrupted past the header, and an
-			// uncompressed file yields exactly its whole records.
+			// uncompressed file yields exactly its whole records, then
+			// reports an error exactly when a partial record follows them.
 			total := 0
 			for total < 1<<16 {
 				m := g.NextBlock(buf)
@@ -69,8 +70,13 @@ func FuzzTraceFile(f *testing.F) {
 				}
 				total += m
 			}
-			if want := (len(data) - 8) / recordBytes; name == "in.trace" && total < 1<<16 && total != want {
-				t.Fatalf("decoded %d records from %d bytes, want %d", total, len(data), want)
+			if name == "in.trace" && total < 1<<16 {
+				if want := (len(data) - 8) / recordBytes; total != want {
+					t.Fatalf("decoded %d records from %d bytes, want %d", total, len(data), want)
+				}
+				if partial := (len(data)-8)%recordBytes != 0; (g.Err() != nil) != partial {
+					t.Fatalf("%d bytes (partial record %v): err = %v", len(data), partial, g.Err())
+				}
 			}
 			g.Close()
 			// NextBlock after Close must keep reporting EOF, not panic.

@@ -41,6 +41,32 @@ func CloseIfCloser(g Generator) {
 	}
 }
 
+// failer is implemented by generators whose stream can end early on a
+// failure rather than cleanly (a damaged trace file). Combinators forward
+// it, as they forward Close.
+type failer interface {
+	Err() error
+}
+
+// Err returns the error that ended g's stream early, or nil when g cannot
+// fail or has not failed.
+func Err(g Generator) error {
+	if f, ok := g.(failer); ok {
+		return f.Err()
+	}
+	return nil
+}
+
+// firstErr is Err over several streams: the first one's failure, if any.
+func firstErr(gens []Generator) error {
+	for _, g := range gens {
+		if err := Err(g); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // --- limiting and composition ---
 
 type limited struct {
@@ -71,6 +97,8 @@ func (l *limited) NextBlock(dst []memsys.Access) int {
 }
 
 func (l *limited) Close() { CloseIfCloser(l.g) }
+
+func (l *limited) Err() error { return Err(l.g) }
 
 type concat struct {
 	name string
@@ -109,6 +137,8 @@ func (c *concat) Close() {
 		CloseIfCloser(c.gens[c.cur])
 	}
 }
+
+func (c *concat) Err() error { return firstErr(c.gens) }
 
 // Interleave merges per-thread streams deterministically: `chunk` accesses
 // from thread 0, then thread 1, … wrapping around, skipping exhausted
@@ -175,6 +205,9 @@ func (iv *Interleave) Close() {
 		CloseIfCloser(g)
 	}
 }
+
+// Err reports the first thread stream's failure (see Err).
+func (iv *Interleave) Err() error { return firstErr(iv.gens) }
 
 // --- goroutine-backed producer ---
 
