@@ -23,6 +23,10 @@
 // over the interval-sampler stream and flags phase changes and anomalies
 // as events, metrics and /phases segments. A comma-separated -workload
 // chains workloads back to back — the canonical phase-change input.
+//
+// A run stopped before its -accesses budget (a signal, -timeout, or a
+// damaged or truncated trace file) still prints the results it reached,
+// warns that they are partial, and exits with status 1.
 package main
 
 import (
@@ -113,6 +117,14 @@ func main() {
 		logger.Error(msg, "err", err)
 		os.Exit(1)
 	}
+	// A run stopped early still prints its partial results, then exits 1
+	// once every deferred sink below has flushed (this defer runs last).
+	exit := 0
+	defer func() {
+		if exit != 0 {
+			os.Exit(exit)
+		}
+	}()
 	if err := spanFlags.Validate(*traceOut); err != nil {
 		die("span flags", err)
 	}
@@ -244,6 +256,7 @@ func main() {
 	if runErr != nil {
 		logger.Warn("simulation stopped early; results are partial",
 			"completed", r.Accesses, "requested", *accesses, "err", runErr)
+		exit = 1
 	}
 	if *jsonOut {
 		// Results stays embedded at the top level (scripts read fields like

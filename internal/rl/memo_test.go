@@ -3,6 +3,9 @@ package rl
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -20,7 +23,7 @@ type refPolicy interface {
 	score(key uint64, action int) uint8
 	freeze()
 	reset()
-	restore(sn Snapshot)
+	restore(sn Snapshot) error
 	weights() []byte
 	counters() (decisions, updates uint64)
 }
@@ -199,7 +202,14 @@ func (m *refMLP) reset() {
 	}
 }
 
-func (m *refMLP) restore(sn Snapshot) {
+// restore loads a snapshot, rejecting (and leaving the model untouched)
+// one whose first layer holds a weight learning could never reach.
+func (m *refMLP) restore(sn Snapshot) error {
+	for k := 0; k < sn.Meta.Hidden*sn.Meta.Inputs; k++ {
+		if w := int16At(sn.Weights, k); w > mlpWeightMax || w < -mlpWeightMax {
+			return fmt.Errorf("reference mlp: w1 weight %d = %d out of range", k, w)
+		}
+	}
 	m.inputs, m.hidden, m.seed = sn.Meta.Inputs, sn.Meta.Hidden, sn.Meta.Seed
 	m.alloc()
 	k := 0
@@ -209,6 +219,7 @@ func (m *refMLP) restore(sn Snapshot) {
 			k++
 		}
 	}
+	return nil
 }
 
 func (m *refMLP) weights() []byte {
@@ -310,13 +321,14 @@ func (pc *refPerceptron) reset() {
 	}
 }
 
-func (pc *refPerceptron) restore(sn Snapshot) {
+func (pc *refPerceptron) restore(sn Snapshot) error {
 	pc.features, pc.buckets = sn.Meta.Features, sn.Meta.Buckets
 	pc.theta = int32(sn.Meta.Theta)
 	pc.w = make([]int16, pc.features*pc.buckets)
 	for i := range pc.w {
 		pc.w[i] = int16At(sn.Weights, i)
 	}
+	return nil
 }
 
 func (pc *refPerceptron) weights() []byte {
@@ -329,16 +341,23 @@ func (pc *refPerceptron) weights() []byte {
 
 func (pc *refPerceptron) counters() (uint64, uint64) { return pc.decisions, pc.updates }
 
+// Shapes the MLP memo tests cover: hidden counts below, at and across the
+// 8-unit word of the first layer, and input counts across one and several
+// 64-bit sign masks and past the 256-input flush of the 16-bit lane sums.
+var (
+	memoHidden = [4]int{defaultMLPHidden, 3, 9, 17}
+	memoInputs = [4]int{defaultMLPInputs, 5, 65, 300}
+)
+
 // memoPair builds a memoized policy and its reference from a shape byte:
-// bit 0 picks the kind, bit 1 a small shape (for the perceptron, one whose
-// keys share buckets, so learning on one key moves another key's sum).
+// bit 0 picks the kind. For the MLP, bits 1-2 pick the hidden count and
+// bits 3-4 the input count from memoHidden and memoInputs; for the
+// perceptron, bit 1 picks a small shape, one whose keys share buckets, so
+// learning on one key moves another key's sum.
 func memoPair(shape byte) (Policy, refPolicy) {
 	small := shape&2 != 0
 	if shape&1 == 0 {
-		inputs, hidden := defaultMLPInputs, defaultMLPHidden
-		if small {
-			inputs, hidden = 5, 3
-		}
+		hidden, inputs := memoHidden[shape>>1&3], memoInputs[shape>>3&3]
 		return NewMLP(inputs, hidden, 7), newRefMLP(inputs, hidden, 7)
 	}
 	features, buckets, theta := defaultPerceptronFeatures, defaultPerceptronBuckets, int32(defaultPerceptronTheta)
@@ -353,7 +372,9 @@ func memoPair(shape byte) (Policy, refPolicy) {
 // policy against its reference after every call. data[0] is the shape,
 // data[1] the key count (2 or 3 alternating keys plus one outsider that
 // forces evictions), data[2:10] the key seed and each later byte one call:
-// the low nibble the operation, the high bits its key and action.
+// the low nibble the operation, the high bits its key and action. Byte 0xfc
+// restores a copy of the current weights scaled by 32 and clamped to ±127,
+// so the learning that follows runs into the saturation bounds at once.
 func runMemoSequence(t *testing.T, data []byte) {
 	if len(data) < 10 {
 		return
@@ -403,13 +424,17 @@ func runMemoSequence(t *testing.T, data []byte) {
 			saved = &sn
 		case 12:
 			sn := p.Snapshot()
-			if saved != nil {
+			if b>>4 == 15 {
+				sn = saturated(sn)
+			} else if saved != nil {
 				sn = *saved
 			}
 			if err := p.Restore(sn); err != nil {
 				t.Fatalf("call %d: Restore: %v", n, err)
 			}
-			ref.restore(sn)
+			if err := ref.restore(sn); err != nil {
+				t.Fatalf("call %d: reference restore: %v", n, err)
+			}
 		case 13:
 			if got, want := p.Snapshot().Weights, ref.weights(); !bytes.Equal(got, want) {
 				t.Fatalf("call %d: snapshot weights diverged from reference", n)
@@ -439,28 +464,206 @@ func runMemoSequence(t *testing.T, data []byte) {
 	}
 }
 
-// FuzzPolicyMemo differentially tests the memoized MLP and perceptron
-// against their un-memoized reference arithmetic. The seed corpus covers
-// both kinds at both shapes with long pseudo-random sequences, which train
-// enough to saturate weights and interleave every operation.
-func FuzzPolicyMemo(f *testing.F) {
-	for shape := byte(0); shape < 4; shape++ {
-		f.Add([]byte{shape, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0x10, 0x23, 0x07, 0x16, 0x09, 0x04, 0x1d, 0xff, 0x0c, 0x84, 0xfe, 0x07, 0x03})
+// saturated returns sn with every weight scaled by 32 and clamped to ±127.
+func saturated(sn Snapshot) Snapshot {
+	w := make([]byte, 0, len(sn.Weights))
+	for k := 0; k < len(sn.Weights)/2; k++ {
+		w = appendInt16(w, int16(min(max(32*int32(int16At(sn.Weights, k)), -127), 127)))
+	}
+	sn.Weights = w
+	return sn
+}
+
+// memoCorpus is FuzzPolicyMemo's seed corpus: every MLP shape and both
+// perceptron shapes, each with a short hand-written sequence and long
+// pseudo-random ones that interleave every operation, saturate the weights
+// (0xfc at call 990) and, in one of them, freeze the policy late.
+func memoCorpus() [][]byte {
+	var corpus [][]byte
+	for shape := byte(0); shape < 32; shape++ {
+		if shape&1 == 1 && shape > 3 {
+			continue // the perceptron has two shapes
+		}
+		corpus = append(corpus, []byte{shape, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0x10, 0x23, 0x07, 0x16, 0x09, 0x04, 0x1d, 0xff, 0x0c, 0x84, 0xfe, 0x07, 0x03})
 		for keys := byte(0); keys < 2; keys++ {
 			rng := NewRand(uint64(shape)<<8 | uint64(keys))
 			seq := []byte{shape, keys}
 			for len(seq) < 4000 {
 				b := byte(rng.Uint64())
-				if b == 0xfe { // freeze only where placed below
+				if b == 0xfe || b == 0xfc { // freeze and saturate only where placed below
 					b = 0xee
 				}
 				seq = append(seq, b)
 			}
+			seq[1000] = 0xfc
 			if keys == 1 {
 				seq[3000] = 0xfe
 			}
-			f.Add(seq)
+			corpus = append(corpus, seq)
 		}
 	}
+	return corpus
+}
+
+// FuzzPolicyMemo differentially tests the memoized MLP and perceptron
+// against their un-memoized reference arithmetic.
+func FuzzPolicyMemo(f *testing.F) {
+	for _, seq := range memoCorpus() {
+		f.Add(seq)
+	}
 	f.Fuzz(runMemoSequence)
+}
+
+// TestMLPSnapshotMatchesReference trains an MLP of every tested shape, from
+// its seeded weights and from saturated ones (where most first-layer steps
+// run into ±127 and must be held), and requires its snapshot bytes to equal
+// the reference's int16 stream of w1 ([hidden][inputs]), b1, w2 and b2: the
+// packed first layer leaves the cosmos-policy-v1 weight format unchanged.
+func TestMLPSnapshotMatchesReference(t *testing.T) {
+	for _, hidden := range memoHidden {
+		for _, inputs := range memoInputs {
+			for _, saturate := range []bool{false, true} {
+				m, ref := NewMLP(inputs, hidden, 11), newRefMLP(inputs, hidden, 11)
+				if saturate {
+					sn := saturated(m.Snapshot())
+					if err := m.Restore(sn); err != nil {
+						t.Fatal(err)
+					}
+					if err := ref.restore(sn); err != nil {
+						t.Fatal(err)
+					}
+					if w1 := ref.w1; !slices.Contains(w1, -mlpWeightMax) || !slices.Contains(w1, mlpWeightMax) {
+						t.Fatalf("%dx%d: saturated weights miss a bound", inputs, hidden)
+					}
+				}
+				rng := NewRand(uint64(hidden*1000 + inputs))
+				var keys [5]uint64
+				for i := range keys {
+					keys[i] = rng.Uint64() &^ 63
+				}
+				for n := 0; n < 3000; n++ {
+					r := rng.Uint64()
+					tr := Transition{Key: keys[r%5], Action: int(r>>8) & 1, Reward: 1}
+					if r>>9&1 == 1 {
+						tr.Reward = -1
+					}
+					m.Learn(tr)
+					ref.learn(tr)
+				}
+				if m.Updates == 0 || m.Updates != ref.updates {
+					t.Fatalf("%dx%d: %d updates, reference %d", inputs, hidden, m.Updates, ref.updates)
+				}
+				if got, want := m.Snapshot().Weights, ref.weights(); !bytes.Equal(got, want) {
+					t.Fatalf("%dx%d (saturated %v): trained snapshot differs from the reference weight stream",
+						inputs, hidden, saturate)
+				}
+			}
+		}
+	}
+}
+
+// TestMLPRestoreRejectsOutOfRangeW1 pins the Restore contract: a first-layer
+// weight outside ±127 is rejected with an error naming it, the policy keeps
+// its weights, and the reference rejects the same snapshot. The other
+// layers keep their int16 range.
+func TestMLPRestoreRejectsOutOfRangeW1(t *testing.T) {
+	const inputs, hidden = 16, 9
+	for _, bad := range []int16{128, -128, 255, -32768, 32767} {
+		m := NewMLP(inputs, hidden, 3)
+		sn := m.Snapshot()
+		before := bytes.Clone(sn.Weights)
+		sn.Weights = bytes.Clone(sn.Weights)
+		binary.LittleEndian.PutUint16(sn.Weights[2*(2*inputs+5):], uint16(bad)) // w1[2][5]
+		err := m.Restore(sn)
+		if err == nil || !strings.Contains(err.Error(), "w1[2][5]") {
+			t.Fatalf("w1 = %d: Restore error %v, want one naming w1[2][5]", bad, err)
+		}
+		if !bytes.Equal(m.Snapshot().Weights, before) {
+			t.Fatalf("w1 = %d: a rejected Restore changed the weights", bad)
+		}
+		if err := newRefMLP(inputs, hidden, 3).restore(sn); err == nil {
+			t.Fatalf("w1 = %d: reference accepted the snapshot", bad)
+		}
+	}
+	m := NewMLP(inputs, hidden, 3)
+	sn := saturated(m.Snapshot())
+	binary.LittleEndian.PutUint16(sn.Weights[2*inputs*hidden:], uint16(300)) // b1[0]
+	if err := m.Restore(sn); err != nil {
+		t.Fatalf("±127 first layer with b1[0] = 300 rejected: %v", err)
+	}
+	if got := m.Snapshot().Weights; !bytes.Equal(got, sn.Weights) {
+		t.Fatal("restored snapshot does not round-trip")
+	}
+}
+
+// TestMLPAlignedWeightsFillLanes gives every unit the weight +127 or -127
+// along one key's feature signs, so each input adds 255 to a 16-bit lane:
+// past 256 inputs a lane overflows unless it was widened in time. The
+// memoized MLP must agree with the reference on that key, where every
+// unit's pre-activation is ±127·inputs, and on a second key.
+func TestMLPAlignedWeightsFillLanes(t *testing.T) {
+	for _, inputs := range []int{255, 256, 257, 300, 600} {
+		const hidden = 9
+		ref := newRefMLP(inputs, hidden, 1)
+		key, other := uint64(0x5eed)<<6, uint64(0xfeed)<<6
+		ref.forward(key)
+		m := NewMLP(inputs, hidden, 1)
+		sn := m.Snapshot()
+		for j := 0; j < hidden; j++ {
+			sign := int16(1)
+			if j%3 == 2 {
+				sign = -1 // a unit driven all the way negative stays silent
+			}
+			for i := 0; i < inputs; i++ {
+				binary.LittleEndian.PutUint16(sn.Weights[2*(j*inputs+i):], uint16(sign*mlpWeightMax*int16(ref.x[i])))
+			}
+			binary.LittleEndian.PutUint16(sn.Weights[2*(hidden*inputs+hidden+j):], 1) // w2[0][j]
+		}
+		if err := m.Restore(sn); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.restore(sn); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []uint64{key, other} {
+			for action := 0; action < mlpActions; action++ {
+				if got, want := m.Value(k, 0, action), ref.value(k, action); got != want {
+					t.Fatalf("%d inputs, key %#x: Value(%d) = %v, reference %v", inputs, k, action, got, want)
+				}
+			}
+		}
+		if ref.value(key, 0) == 0 {
+			t.Fatalf("%d inputs: the aligned key's margin is zero, so the test checks nothing", inputs)
+		}
+	}
+}
+
+// TestMLPLearnLeavesKeyCurrent checks the fused learning pass: after a
+// Learn that writes weights, the learned key's memo entry already holds
+// its outputs at the new weight version, so the Score that follows is a
+// hit, and those outputs match a fresh evaluation.
+func TestMLPLearnLeavesKeyCurrent(t *testing.T) {
+	for _, hidden := range memoHidden {
+		m, ref := NewMLP(0, hidden, 5), newRefMLP(defaultMLPInputs, hidden, 5)
+		key := uint64(0xabc) << 6
+		for n := 0; n < 50; n++ {
+			tr := Transition{Key: key, Action: n % 2, Reward: 1}
+			before := m.Updates
+			m.Learn(tr)
+			ref.learn(tr)
+			if m.Updates == before {
+				continue
+			}
+			e := &m.memo[m.mru]
+			if e.key != key || e.ver != m.ver {
+				t.Fatalf("hidden %d: after an update the learned key is not current in the memo", hidden)
+			}
+			if o0, o1 := ref.forward(key); e.o0 != o0 || e.o1 != o1 {
+				t.Fatalf("hidden %d: fused outputs %d/%d, reference %d/%d", hidden, e.o0, e.o1, o0, o1)
+			}
+		}
+		if m.Updates == 0 {
+			t.Fatalf("hidden %d: no update happened", hidden)
+		}
+	}
 }

@@ -18,12 +18,30 @@ const (
 	mlpStateMask     = 16383
 )
 
+// Byte-lane constants of the first layer: a uint64 word carries eight
+// hidden units' weights on one input, each as the biased byte w+128.
+const (
+	laneUnits = 8                  // hidden units per word
+	laneBias  = 128                // byte = weight + laneBias ∈ [1, 255]
+	laneOnes  = 0x0101010101010101 // 1 in every byte
+	laneLow7  = 0x7f7f7f7f7f7f7f7f
+	laneEven  = 0x00ff00ff00ff00ff // bytes 0, 2, 4, 6 widened to 16 bits
+	laneZero  = 0x8080808080808080 // every byte a zero weight
+	// laneFlush inputs fill a 16-bit lane sum to at most 255·256 < 2¹⁶,
+	// so lanes are widened into int32 every laneFlush inputs (4 mask words).
+	laneFlush = 256
+)
+
 // MLP is a small two-layer network evaluated entirely in fixed-point
 // integer arithmetic: ±1 input features hashed from the key, a hidden layer
 // whose ReLU is a right-shift plus clamp, and a two-way output argmax.
-// Weights are int16, saturating at ±127; training is a sign-sign delta rule.
-// No float ever enters inference or learning, so decisions are identical on
-// every platform — the property the determinism tests pin.
+// Weights saturate at ±127; training is a sign-sign delta rule. No float
+// ever enters inference or learning, so decisions are identical on every
+// platform — the property the determinism tests pin.
+//
+// The first layer is stored in byte lanes (see w1), so both its forward
+// pass and its learning step work on eight hidden units per machine word
+// with neither multiplies nor branches.
 //
 // Weight initialisation is seeded through SplitMix64, so two MLPs built
 // with the same (inputs, hidden, seed) triple are identical.
@@ -31,10 +49,15 @@ type MLP struct {
 	inputs int
 	hidden int
 	seed   uint64
-	// Parameters, all clamped to ±mlpWeightMax:
-	w1     []int16 // [hidden][inputs]
-	b1     []int16 // [hidden]
-	w2     []int16 // [action][hidden]
+	// w1 is the first layer, column-major in byte lanes: word k·inputs+i
+	// holds hidden units 8k..8k+7's weights on input i, unit 8k+l in byte
+	// l as w+laneBias. The units are padded to a multiple of 8 with units
+	// whose weights are all zero; a padding unit never fires, so learning
+	// leaves it at zero.
+	w1 []uint64
+	// The other parameters, all clamped to ±mlpWeightMax and padded like w1:
+	b1     []int16 // [unit]
+	w2     []int16 // [action][unit]
 	b2     []int16 // [action]
 	frozen bool
 
@@ -54,18 +77,19 @@ type MLP struct {
 // key with the CET head and the evicted block.
 const memoEntries = 2
 
-// mlpEntry memoizes one key's forward pass. The features and state tag are
-// a function of the key alone and stay valid for as long as the entry holds
-// that key; the hidden activations and outputs are valid only while the
-// weights are still at version ver.
+// mlpEntry memoizes one key's forward pass. The feature signs and state tag
+// are a function of the key alone and stay valid for as long as the entry
+// holds that key; the hidden activations and outputs are valid only while
+// the weights are still at version ver.
 type mlpEntry struct {
-	key    uint64
-	used   bool
-	state  int
-	x      []int32 // input features, ±1
-	ver    uint64
-	a      []int32 // hidden activations
-	o0, o1 int32
+	key   uint64
+	used  bool
+	state int
+	neg   []uint64 // feature signs: bit i set when input i is -1 (i < inputs)
+	ver   uint64
+	a     []int32 // hidden activations, padded like b1
+	o0    int32
+	o1    int32
 }
 
 var _ Policy = (*MLP)(nil)
@@ -88,19 +112,43 @@ func NewMLP(inputs, hidden int, seed uint64) *MLP {
 	return m
 }
 
+// groups is the number of byte-lane words per input.
+func (m *MLP) groups() int { return (m.hidden + laneUnits - 1) / laneUnits }
+
 func (m *MLP) alloc() {
-	m.w1 = make([]int16, m.hidden*m.inputs)
-	m.b1 = make([]int16, m.hidden)
-	m.w2 = make([]int16, mlpActions*m.hidden)
-	m.b2 = make([]int16, mlpActions)
-	slab := make([]int32, memoEntries*(m.inputs+m.hidden))
+	units := m.groups() * laneUnits // hidden units, padded
+	m.w1 = make([]uint64, m.groups()*m.inputs)
+	for i := range m.w1 {
+		m.w1[i] = laneZero
+	}
+	// One slab for the small layers: every evaluation reads them all.
+	p := make([]int16, (1+mlpActions)*units+mlpActions)
+	m.b1 = p[:units:units]
+	m.w2 = p[units : (1+mlpActions)*units : (1+mlpActions)*units]
+	m.b2 = p[(1+mlpActions)*units:]
+	words := (m.inputs + 63) / 64
+	neg := make([]uint64, memoEntries*words)
+	act := make([]int32, memoEntries*units)
 	for i := range m.memo {
-		x, rest := slab[:m.inputs:m.inputs], slab[m.inputs:]
-		a := rest[:m.hidden:m.hidden]
-		slab = rest[m.hidden:]
-		m.memo[i] = mlpEntry{x: x, a: a}
+		m.memo[i] = mlpEntry{
+			neg: neg[i*words:][:words:words],
+			a:   act[i*units:][:units:units],
+		}
 	}
 	m.mru = 0
+}
+
+// weight returns the first-layer weight of hidden unit j on input i.
+func (m *MLP) weight(j, i int) int16 {
+	u := m.w1[j/laneUnits*m.inputs+i] >> (8 * (j % laneUnits))
+	return int16(u&0xff) - laneBias
+}
+
+// setWeight stores w (within ±mlpWeightMax) as hidden unit j's weight on
+// input i.
+func (m *MLP) setWeight(j, i int, w int16) {
+	p, sh := &m.w1[j/laneUnits*m.inputs+i], 8*uint(j%laneUnits)
+	*p = *p&^(0xff<<sh) | uint64(w+laneBias)<<sh
 }
 
 // init fills the first layer with small seeded weights in [-8, 7] (the
@@ -108,9 +156,11 @@ func (m *MLP) alloc() {
 // actions and ties break toward action 0).
 func (m *MLP) init() {
 	s := m.seed ^ 0x3117a9e5b1c60000
-	for i := range m.w1 {
-		s += 0x9e3779b97f4a7c15
-		m.w1[i] = int16(SplitMix64(s)&15) - 8
+	for j := 0; j < m.hidden; j++ {
+		for i := 0; i < m.inputs; i++ {
+			s += 0x9e3779b97f4a7c15
+			m.setWeight(j, i, int16(SplitMix64(s)&15)-8)
+		}
 	}
 	clear(m.b1)
 	clear(m.w2)
@@ -118,13 +168,25 @@ func (m *MLP) init() {
 	m.ver++
 }
 
-// mlpFeature extracts input i as ±1 from a salted hash of the key, each
-// input looking at a different address granularity (same scheme as the
-// perceptron's buckets, one bit instead of one counter).
-func mlpFeature(i int, key uint64) int32 {
-	shift := uint(6 + i%8)
-	h := SplitMix64((key>>shift)*featureSalts[i%len(featureSalts)] + uint64(i))
-	return int32(h&1)*2 - 1
+// mlpFeatures sets neg to key's feature signs. Input i is ±1 from a salted
+// hash of the key, each input looking at a different address granularity
+// (same scheme as the perceptron's buckets, one bit instead of one
+// counter); an even hash is -1. Input i looks at granularity 6+i%8 with
+// salt i%8 of the eight, so the eight salted keys are computed once.
+func mlpFeatures(neg []uint64, inputs int, key uint64) {
+	var salted [8]uint64
+	for r := range salted {
+		salted[r] = (key >> (6 + r)) * featureSalts[r]
+	}
+	for w := range neg {
+		var pos uint64
+		n := uint(min(64, inputs-64*w))
+		for b := uint(0); b < n; b++ {
+			i := uint64(64*w) + uint64(b)
+			pos |= SplitMix64(salted[i%8]+i) & 1 << (b & 63)
+		}
+		neg[w] = ^pos
+	}
 }
 
 // forward returns key's memo entry with its outputs at the current weight
@@ -139,9 +201,7 @@ func (m *MLP) forward(key uint64) *mlpEntry {
 		if !e.used || e.key != key {
 			e.key, e.used = key, true
 			e.state = int(SplitMix64(key) & mlpStateMask)
-			for i := range e.x {
-				e.x[i] = mlpFeature(i, key)
-			}
+			mlpFeatures(e.neg, m.inputs, key)
 			e.ver = m.ver - 1 // stale: evaluate below
 		}
 	}
@@ -151,28 +211,120 @@ func (m *MLP) forward(key uint64) *mlpEntry {
 	return e
 }
 
-// eval runs integer inference over e's features at the current weights.
-// Each row is re-sliced to the feature count and each feature is ±1, so the
-// inner loop is a multiply-add with neither bounds checks nor a sign branch.
-func (m *MLP) eval(e *mlpEntry) {
-	x, act := e.x, e.a
-	b1 := m.b1[:len(act)]
-	for j := range act {
-		row := m.w1[j*len(x):][:len(x)]
-		acc := int32(b1[j])
-		for i, w := range row {
-			acc += int32(w) * x[i]
-		}
-		act[j] = min(max(acc, 0)>>mlpActShift, mlpActMax)
+// signed returns the word u with every byte b replaced by 256-b when s is
+// all ones (b = w+128 becomes -w+128; b ∈ [1, 255] never carries), and u
+// itself when s is zero.
+func signed(u, s uint64) uint64 {
+	return u ^ (u^(^u+laneOnes))&s
+}
+
+// zeroBytes returns 0x80 in every byte of x that is zero and 0 elsewhere,
+// exactly (no borrow from a lower byte reaches a higher one).
+func zeroBytes(x uint64) uint64 {
+	return ^((x&laneLow7 + laneLow7) | x | laneLow7)
+}
+
+// laneSums adds col's words (at most 64), each made signed by the next bit
+// of neg, byte-wise into the 16-bit lanes of even (units 0, 2, 4, 6) and
+// odd (units 1, 3, 5, 7). It and stepSums are kept out of line: inlined
+// into their callers, the loop spills its accumulators to the stack.
+//
+//go:noinline
+func laneSums(col []uint64, neg, even, odd uint64) (uint64, uint64) {
+	for _, u := range col {
+		v := signed(u, -(neg & 1))
+		neg >>= 1
+		even += v & laneEven
+		odd += v >> 8 & laneEven
 	}
-	w20 := m.w2[:len(act)]
-	w21 := m.w2[len(act):][:len(act)]
+	return even, odd
+}
+
+// stepSums is laneSums after a learning step on each word: bytes marked in
+// up move by +1 and bytes marked in down by -1 along the input's sign, held
+// at 255 (+127) and 1 (-127) by exact zero-byte masks.
+//
+//go:noinline
+func stepSums(col []uint64, neg, up, down, even, odd uint64) (uint64, uint64) {
+	for i, u := range col {
+		s := -(neg & 1)
+		neg >>= 1
+		flip := (up ^ down) & s // a -1 input reverses the step
+		inc := (up ^ flip) &^ (zeroBytes(^u) >> 7)
+		dec := (down ^ flip) &^ (zeroBytes(u^laneOnes) >> 7)
+		u = u + inc - dec
+		col[i] = u
+		v := signed(u, s)
+		even += v & laneEven
+		odd += v >> 8 & laneEven
+	}
+	return even, odd
+}
+
+// widen adds the 16-bit lane sums of even and odd to sum.
+func widen(sum *[laneUnits]int32, even, odd uint64) {
+	sum[0] += int32(uint16(even))
+	sum[1] += int32(uint16(odd))
+	sum[2] += int32(uint16(even >> 16))
+	sum[3] += int32(uint16(odd >> 16))
+	sum[4] += int32(uint16(even >> 32))
+	sum[5] += int32(uint16(odd >> 32))
+	sum[6] += int32(uint16(even >> 48))
+	sum[7] += int32(uint16(odd >> 48))
+}
+
+// eval runs integer inference over e's features at the current weights.
+// Per input, one word carries eight units' signed weights as biased bytes;
+// summing the bytes into 16-bit lanes and removing the bias afterwards
+// gives each unit's Σ x_i·w_i.
+func (m *MLP) eval(e *mlpEntry) {
 	o0, o1 := int32(m.b2[0]), int32(m.b2[1])
-	for j, a := range act {
-		o0 += int32(w20[j]) * a
-		o1 += int32(w21[j]) * a
+	for k := 0; k < m.groups(); k++ {
+		sum := m.column(e, k, 0, 0)
+		d0, d1 := m.activate(e, k, &sum)
+		o0, o1 = o0+d0, o1+d1
 	}
 	e.o0, e.o1, e.ver = o0, o1, m.ver
+}
+
+// column returns group k's biased lane sums over e's features, first
+// stepping the group's weights by up and down (see stepSums) when either
+// is set. The 16-bit lanes are widened every laneFlush inputs.
+func (m *MLP) column(e *mlpEntry, k int, up, down uint64) (sum [laneUnits]int32) {
+	col := m.w1[k*m.inputs:][:m.inputs]
+	var even, odd uint64
+	for w, bits := range e.neg {
+		blk := col[64*w : min(64*w+64, len(col))]
+		if up|down == 0 {
+			even, odd = laneSums(blk, bits, even, odd)
+		} else {
+			even, odd = stepSums(blk, bits, up, down, even, odd)
+		}
+		if w%(laneFlush/64) == laneFlush/64-1 || w == len(e.neg)-1 {
+			widen(&sum, even, odd)
+			even, odd = 0, 0
+		}
+	}
+	return sum
+}
+
+// activate turns group k's biased lane sums into e's hidden activations and
+// returns their weighted sums into the two outputs.
+func (m *MLP) activate(e *mlpEntry, k int, sum *[laneUnits]int32) (o0, o1 int32) {
+	lo := k * laneUnits
+	a := (*[laneUnits]int32)(e.a[lo:])
+	b1 := (*[laneUnits]int16)(m.b1[lo:])
+	bias := int32(laneBias * m.inputs)
+	for l, s := range sum {
+		a[l] = min(max(s-bias+int32(b1[l]), 0)>>mlpActShift, mlpActMax)
+	}
+	w20 := (*[laneUnits]int16)(m.w2[lo:])
+	w21 := (*[laneUnits]int16)(m.w2[len(m.b1)+lo:])
+	for l, x := range a {
+		o0 += int32(w20[l]) * x
+		o1 += int32(w21[l]) * x
+	}
+	return o0, o1
 }
 
 // Kind implements Policy.
@@ -194,7 +346,9 @@ func (m *MLP) Act(key uint64) Decision {
 // Learn applies a sign-sign update toward the reward-implied target action
 // (taken action if rewarded, its complement if punished): the second layer
 // moves each active hidden unit's weight toward the target output, and the
-// first layer nudges active units' weights along the input signs.
+// first layer nudges units' weights along the input signs. The same pass
+// over the first layer re-evaluates the learned key at the new weights, so
+// the call that follows is a memo hit.
 func (m *MLP) Learn(t Transition) {
 	if m.frozen || t.Reward == 0 {
 		return
@@ -213,34 +367,42 @@ func (m *MLP) Learn(t Transition) {
 	}
 	m.Updates++
 	m.ver++
-	x, act := e.x, e.a
-	b1 := m.b1[:len(act)]
-	wantRow := m.w2[want*len(act):][:len(act)]
-	otherRow := m.w2[(1-want)*len(act):][:len(act)]
-	for j, a := range act {
-		if a > 0 {
-			wantRow[j] = satAdd16(wantRow[j], 1)
-			otherRow[j] = satAdd16(otherRow[j], -1)
-		}
-		// First layer: push units the target output weights positively to
-		// fire (and vice versa), following each input's sign.
-		var d int16
-		switch {
-		case wantRow[j] > otherRow[j]:
-			d = 1
-		case wantRow[j] < otherRow[j]:
-			d = -1
-		default:
-			continue
-		}
-		row := m.w1[j*len(x):][:len(x)]
-		for i, w := range row {
-			row[i] = satAdd16(w, d*int16(x[i]))
-		}
-		b1[j] = satAdd16(b1[j], d)
-	}
 	m.b2[want] = satAdd16(m.b2[want], 1)
 	m.b2[1-want] = satAdd16(m.b2[1-want], -1)
+	o0, o1 := int32(m.b2[0]), int32(m.b2[1])
+	units := len(m.b1)
+	for k := 0; k < m.groups(); k++ {
+		// up and down hold 1 in the byte of each unit whose first-layer
+		// weights step along (up) or against (down) the input signs: units
+		// the target output weights positively are pushed to fire.
+		lo := k * laneUnits
+		act := (*[laneUnits]int32)(e.a[lo:])
+		b1 := (*[laneUnits]int16)(m.b1[lo:])
+		wantRow := (*[laneUnits]int16)(m.w2[want*units+lo:])
+		otherRow := (*[laneUnits]int16)(m.w2[(1-want)*units+lo:])
+		var up, down uint64
+		for l, a := range act {
+			var fired, u, d int16 // 0 or 1 each: flags, not data-dependent branches
+			if a > 0 {
+				fired = 1
+			}
+			wantRow[l] = satAdd16(wantRow[l], fired)
+			otherRow[l] = satAdd16(otherRow[l], -fired)
+			if wantRow[l] > otherRow[l] {
+				u = 1
+			}
+			if wantRow[l] < otherRow[l] {
+				d = 1
+			}
+			up |= uint64(u) << (8 * l)
+			down |= uint64(d) << (8 * l)
+			b1[l] = satAdd16(b1[l], u-d)
+		}
+		sum := m.column(e, k, up, down)
+		d0, d1 := m.activate(e, k, &sum)
+		o0, o1 = o0+d0, o1+d1
+	}
+	e.o0, e.o1, e.ver = o0, o1, m.ver
 }
 
 // Value returns the chosen action's output margin scaled into the tabular Q
@@ -288,18 +450,22 @@ func (m *MLP) Reset() {
 
 // StorageBits reports the parameter cost at 16 bits per weight/bias.
 func (m *MLP) StorageBits() int {
-	return (len(m.w1) + len(m.b1) + len(m.w2) + len(m.b2)) * 16
+	return (m.hidden*m.inputs + m.hidden + mlpActions*m.hidden + mlpActions) * 16
 }
 
 // ExplorationRate is always 0: the MLP never explores.
 func (m *MLP) ExplorationRate() float64 { return 0 }
 
 // Snapshot serialises all parameters as one int16 little-endian stream in
-// w1, b1, w2, b2 order.
+// w1 ([hidden][inputs]), b1, w2, b2 order.
 func (m *MLP) Snapshot() Snapshot {
-	n := len(m.w1) + len(m.b1) + len(m.w2) + len(m.b2)
-	w := make([]byte, 0, n*2)
-	for _, layer := range [][]int16{m.w1, m.b1, m.w2, m.b2} {
+	w := make([]byte, 0, m.StorageBits()/8)
+	for j := 0; j < m.hidden; j++ {
+		for i := 0; i < m.inputs; i++ {
+			w = appendInt16(w, m.weight(j, i))
+		}
+	}
+	for _, layer := range m.layers() {
 		for _, v := range layer {
 			w = appendInt16(w, v)
 		}
@@ -316,7 +482,8 @@ func (m *MLP) Snapshot() Snapshot {
 	}
 }
 
-// Restore loads an MLP snapshot.
+// Restore loads an MLP snapshot. First-layer weights must lie within
+// ±mlpWeightMax, the range learning keeps them in.
 func (m *MLP) Restore(sn Snapshot) error {
 	if err := sn.validate(); err != nil {
 		return err
@@ -332,10 +499,22 @@ func (m *MLP) Restore(sn Snapshot) error {
 	if want := n * 2; len(sn.Weights) != want {
 		return fmt.Errorf("rl: mlp snapshot has %d weight bytes, want %d", len(sn.Weights), want)
 	}
+	for k := 0; k < hidden*inputs; k++ {
+		if w := int16At(sn.Weights, k); w < -mlpWeightMax || w > mlpWeightMax {
+			return fmt.Errorf("rl: mlp snapshot w1[%d][%d] = %d is outside ±%d",
+				k/inputs, k%inputs, w, mlpWeightMax)
+		}
+	}
 	m.inputs, m.hidden, m.seed = inputs, hidden, sn.Meta.Seed
 	m.alloc()
 	k := 0
-	for _, layer := range [][]int16{m.w1, m.b1, m.w2, m.b2} {
+	for j := 0; j < hidden; j++ {
+		for i := 0; i < inputs; i++ {
+			m.setWeight(j, i, int16At(sn.Weights, k))
+			k++
+		}
+	}
+	for _, layer := range m.layers() {
 		for i := range layer {
 			layer[i] = int16At(sn.Weights, k)
 			k++
@@ -343,6 +522,13 @@ func (m *MLP) Restore(sn Snapshot) error {
 	}
 	m.ver++
 	return nil
+}
+
+// layers returns the real (unpadded) units' b1, w2 and b2, in snapshot
+// order.
+func (m *MLP) layers() [][]int16 {
+	units := len(m.b1)
+	return [][]int16{m.b1[:m.hidden], m.w2[:m.hidden], m.w2[units:][:m.hidden], m.b2}
 }
 
 // RegisterMetrics registers decision/update counters and the update rate.

@@ -213,6 +213,13 @@ type System struct {
 	// faults, when non-nil, is the attached fault plane (also wired into
 	// the memory controller engine).
 	faults *fault.Injector
+
+	// cycleBase is each thread's clock when measurement began (the end of
+	// a warmup); Results reports cycles since then. The clocks themselves
+	// never rewind, so the timing state they are compared against (DRAM
+	// bank and channel availability) stays consistent across a warmup.
+	// It sits after the fields Step touches, leaving their layout as is.
+	cycleBase []uint64
 }
 
 // New builds a system for the given design point: the secure-memory
@@ -286,6 +293,7 @@ func New(cfg Config, design secmem.Design) *System {
 
 	s.demand = make([]levelStats, len(s.specs))
 	s.threadCycles = make([]uint64, cfg.Cores)
+	s.cycleBase = make([]uint64, cfg.Cores)
 	return s
 }
 
@@ -492,6 +500,11 @@ func (s *System) advance(c int, write, dep bool, lat uint64) {
 	s.threadCycles[c] += s.cfg.NonMemCycles + stall
 }
 
+// measuredCycles returns thread c's cycles since measurement began.
+func (s *System) measuredCycles(c int) uint64 {
+	return s.threadCycles[c] - s.cycleBase[c]
+}
+
 // Warmup drives the system for n accesses and then clears every
 // measurement, keeping all learned state: cache contents, Q-tables, CET.
 // Use it to measure steady-state behaviour without the cold-start
@@ -511,7 +524,8 @@ func (s *System) Warmup(gen trace.Generator, n uint64) {
 	s.ResetStats()
 }
 
-// ResetStats zeroes measurements (not learned state); see Warmup.
+// ResetStats zeroes measurements (not learned state); see Warmup. Thread
+// clocks keep running: measured cycles restart from the current clocks.
 func (s *System) ResetStats() {
 	for i := range s.demand {
 		s.demand[i] = levelStats{}
@@ -519,9 +533,7 @@ func (s *System) ResetStats() {
 	s.accesses, s.reads, s.writes = 0, 0, 0
 	s.offChipReads, s.fetchLatSum, s.bypassed = 0, 0, 0
 	s.fetchHist = telemetry.Histogram{}
-	for i := range s.threadCycles {
-		s.threadCycles[i] = 0
-	}
+	copy(s.cycleBase, s.threadCycles)
 	for c := range s.chains {
 		for i := 0; i < s.sharedFrom; i++ {
 			s.chains[c][i].ResetStats()
@@ -686,10 +698,8 @@ type Results struct {
 // the LLC.
 func (s *System) Results(workload string) Results {
 	var maxCycles uint64
-	for _, cyc := range s.threadCycles {
-		if cyc > maxCycles {
-			maxCycles = cyc
-		}
+	for c := range s.threadCycles {
+		maxCycles = max(maxCycles, s.measuredCycles(c))
 	}
 	res := Results{
 		Design:       s.design.Name,

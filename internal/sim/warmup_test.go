@@ -176,3 +176,59 @@ func TestBoundedSecureRegion(t *testing.T) {
 		t.Fatal("in-region accesses must be protected")
 	}
 }
+
+// TestWarmupMeasuresFromWarmClocks checks that measurement after Warmup
+// picks up from the warmed clocks: over Warmup(n) then Run(m), each thread's
+// measured cycles equal what one continuous n+m run accrues over its last m
+// accesses. Clocks rewound to zero would leave the DRAM model's bank and
+// channel reservations in the measured run's future, and every early access
+// would wait them out.
+func TestWarmupMeasuresFromWarmClocks(t *testing.T) {
+	const n, m = 30_000, 20_000
+	build := func() trace.Generator {
+		g, err := workloads.BuildMix([]string{"mcf", "canneal", "omnetpp", "DLRM"}, workloads.Options{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+
+	cont := New(testConfig(), secmem.DesignCosmos())
+	g := build()
+	stepN := func(k int) {
+		var buf [256]memsys.Access
+		for k > 0 {
+			got := trace.NextBlock(g, buf[:min(k, len(buf))])
+			if got == 0 {
+				t.Fatal("stream ended early")
+			}
+			for _, a := range buf[:got] {
+				cont.Step(a)
+			}
+			k -= got
+		}
+	}
+	stepN(n)
+	seam := append([]uint64(nil), cont.threadCycles...)
+	stepN(m)
+	trace.CloseIfCloser(g)
+
+	warm := New(testConfig(), secmem.DesignCosmos())
+	wg := build()
+	warm.Warmup(wg, n)
+	r := warm.Run(trace.Limit(wg, m), m)
+	if r.Accesses != m {
+		t.Fatalf("measured run has %d accesses, want %d", r.Accesses, m)
+	}
+	var longest uint64
+	for c := range seam {
+		want := cont.threadCycles[c] - seam[c]
+		if got := warm.measuredCycles(c); got != want {
+			t.Errorf("thread %d: %d measured cycles after warmup, continuous run accrued %d", c, got, want)
+		}
+		longest = max(longest, want)
+	}
+	if r.Cycles != longest {
+		t.Errorf("Results.Cycles = %d, want the longest thread's %d", r.Cycles, longest)
+	}
+}
