@@ -64,7 +64,6 @@ func run() int {
 		results = flag.String("results-dir", "", "persist completed simulations here and resume from it on rerun")
 
 		timeout    = cliflags.RegisterTimeout(flag.CommandLine)
-		faults     = cliflags.RegisterFault(flag.CommandLine)
 		obsFlags   = cliflags.RegisterObs(flag.CommandLine)
 		policy     = cliflags.RegisterPolicy(flag.CommandLine)
 		spanFlags  = cliflags.RegisterSpans(flag.CommandLine)
@@ -198,13 +197,6 @@ func run() int {
 			}
 			logger.Info("progress", args...)
 		}),
-	}
-	if faultCfg := faults.Config(); faultCfg != nil {
-		if err := faultCfg.Validate(); err != nil {
-			logger.Error("fault config", "err", err)
-			return exitUsage
-		}
-		lopts = append(lopts, experiments.WithFaults(faultCfg))
 	}
 	if dataPolicy != nil || ctrPolicy != nil {
 		lopts = append(lopts, experiments.WithPolicy(dataPolicy, ctrPolicy))

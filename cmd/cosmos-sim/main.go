@@ -92,7 +92,6 @@ func main() {
 
 		timeout   = cliflags.RegisterTimeout(flag.CommandLine)
 		obsFlags  = cliflags.RegisterObs(flag.CommandLine)
-		faults    = cliflags.RegisterFault(flag.CommandLine)
 		policy    = cliflags.RegisterPolicy(flag.CommandLine)
 		spanFlags = cliflags.RegisterSpans(flag.CommandLine)
 
@@ -151,7 +150,6 @@ func main() {
 	}
 	cfg.MC.Seed = *seed
 	cfg.MC.Params.Seed = *seed
-	cfg.Fault = faults.Config()
 	if err := policy.Apply(&cfg.MC.Params); err != nil {
 		die("resolve policy", err)
 	}
@@ -260,7 +258,7 @@ func main() {
 	}
 	if *jsonOut {
 		// Results stays embedded at the top level (scripts read fields like
-		// .Fault directly); the perf breakdown rides as a sibling key.
+		// .IPC directly); the perf breakdown rides as a sibling key.
 		out := struct {
 			sim.Results
 			Perf telemetry.PhaseBreakdown
@@ -332,23 +330,6 @@ func printResults(r sim.Results, wall time.Duration, pb telemetry.PhaseBreakdown
 	if r.Prefetch.Issued > 0 {
 		t.Row("prefetch issued/useful", fmt.Sprintf("%d/%d", r.Prefetch.Issued, r.Prefetch.Useful))
 		t.Row("prefetch accuracy", stats.Pct(r.Prefetch.Accuracy()))
-	}
-	if f := r.Fault; f != nil {
-		t.Row("faults injected", f.Injected)
-		t.Row("faults detected", f.Detected)
-		t.Row("faults silent", f.Silent)
-		t.Row("faults by kind (data/ctr/mac/mt)", fmt.Sprintf("%d/%d/%d/%d",
-			f.DataDetected, f.CtrDetected, f.MACDetected, f.MTDetected))
-		t.Row("fault transient repaired", f.TransientRepaired)
-		t.Row("fault lines poisoned", f.Poisoned)
-		t.Row("fault retry fetches", f.Refetches)
-		t.Row("fault retry cycles", f.RetryCycles)
-		if f.CrashStep > 0 {
-			t.Row("crash at access", f.CrashStep)
-			t.Row("crash lines lost", f.CrashLinesLost)
-			t.Row("recovery fetches", f.RecoveryFetches)
-			t.Row("recovery cost (cycles)", f.RecoveryCycles)
-		}
 	}
 	if csv {
 		fmt.Print(t.CSV())

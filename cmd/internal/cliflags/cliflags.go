@@ -1,12 +1,11 @@
 // Package cliflags centralises the flag sets every cosmos command used to
 // copy-paste: the observability plane trio (-listen, -log-format,
-// -log-level), the deterministic fault plane (-fault-*, -crash-*), the
-// learned-policy zoo (-policy, -policy-frozen, -list-policies) and the
-// campaign timeout. Each Register* call adds one group to a FlagSet; a
-// command picks exactly the groups it supports, so flag names, defaults and
-// help text stay identical across binaries by construction. Obs.Serve and
-// RunSinks are likewise the one place every command starts the plane and
-// attaches per-run telemetry.
+// -log-level), the learned-policy zoo (-policy, -policy-frozen,
+// -list-policies) and the campaign timeout. Each Register* call adds one
+// group to a FlagSet; a command picks exactly the groups it supports, so
+// flag names, defaults and help text stay identical across binaries by
+// construction. Obs.Serve and RunSinks are likewise the one place every
+// command starts the plane and attaches per-run telemetry.
 package cliflags
 
 import (
@@ -22,7 +21,6 @@ import (
 	"time"
 
 	"cosmos/internal/core"
-	"cosmos/internal/fault"
 	"cosmos/internal/obs"
 	"cosmos/internal/policytrain"
 	"cosmos/internal/rl"
@@ -49,46 +47,6 @@ func RegisterObs(fs *flag.FlagSet) *Obs {
 // Logger builds the command's structured logger from the parsed log flags.
 func (o *Obs) Logger(component string) (*slog.Logger, error) {
 	return obs.SetupLogger(component, o.LogFormat, o.LogLevel)
-}
-
-// Fault holds the deterministic fault-plane flags.
-type Fault struct {
-	Rate        float64
-	Seed        uint64
-	Kinds       string
-	StepFrom    uint64
-	StepTo      uint64
-	CrashAt     uint64
-	CrashDropRL bool
-}
-
-// RegisterFault adds the -fault-* and -crash-* flags to fs.
-func RegisterFault(fs *flag.FlagSet) *Fault {
-	f := &Fault{}
-	fs.Float64Var(&f.Rate, "fault-rate", 0, "per-fetch fault probability for the deterministic fault plane (0 = off)")
-	fs.Uint64Var(&f.Seed, "fault-seed", 1, "seed of the fault stream (same seed = same faults, every design)")
-	fs.StringVar(&f.Kinds, "fault-kinds", "", "comma-separated fault kinds, each optionally kind:rate (data,ctr,mac,mt; empty = all at -fault-rate)")
-	fs.Uint64Var(&f.StepFrom, "fault-step-from", 0, "start of the injection window in access steps (fault bursts; 0 = from the first access)")
-	fs.Uint64Var(&f.StepTo, "fault-step-to", 0, "end of the injection window in access steps, half-open (0 = unbounded)")
-	fs.Uint64Var(&f.CrashAt, "crash-at", 0, "crash the memory controller before this access number and replay recovery (0 = never)")
-	fs.BoolVar(&f.CrashDropRL, "crash-drop-rl", false, "the crash also loses the RL predictor tables")
-	return f
-}
-
-// Config resolves the parsed flags into a fault campaign: nil when the
-// plane is off (no rate, no crash point), so a zero-flag run stays
-// bit-identical to a build with no fault section at all. Callers validate
-// the returned config on their usual path (sim.Config.Validate or
-// fault.Config.Validate).
-func (f *Fault) Config() *fault.Config {
-	if f.Rate <= 0 && f.CrashAt == 0 {
-		return nil
-	}
-	return &fault.Config{
-		Seed: f.Seed, Rate: f.Rate, Kinds: f.Kinds,
-		StepFrom: f.StepFrom, StepTo: f.StepTo,
-		CrashAt: f.CrashAt, CrashDropRL: f.CrashDropRL,
-	}
 }
 
 // Spans holds the span-tracing and watchdog flags.

@@ -68,18 +68,15 @@ func (rs *RunSinks) Enabled(statsOut string) bool {
 
 // Attach wires one run's telemetry into s, whose metrics the caller has
 // registered in reg: the span recorder and watchdog (each with its hub),
-// the fault notifier, and a sampler writing statsPath (CSV for a .csv
-// path, JSONL otherwise) and the broker. The sampler exists only with a
-// file, the broker or the watchdog to feed. An empty path writes no file;
-// the files are created here, so a bad path fails before the run. finish,
+// and a sampler writing statsPath (CSV for a .csv path, JSONL otherwise)
+// and the broker. The sampler exists only with a file, the broker or the
+// watchdog to feed. An empty path writes no file; the files are created
+// here, so a bad path fails before the run. finish,
 // called once after the run, writes the Chrome trace to tracePath, closes
 // the files and returns every sink error, joined.
 func (rs *RunSinks) Attach(reg *telemetry.Registry, label string, s *sim.System, statsPath, tracePath string) (finish func() error, err error) {
 	if err := rs.Spans.Validate(tracePath); err != nil {
 		return nil, err
-	}
-	if in := s.Faults(); in != nil && rs.Broker != nil {
-		in.Notify = rs.Broker.FaultNotifier(label)
 	}
 	rec := rs.Spans.Recorder()
 	if rec != nil {

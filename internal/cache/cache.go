@@ -376,31 +376,3 @@ func (c *Cache) Flush() (dirty int) {
 	}
 	return dirty
 }
-
-// FlushLines invalidates every line and reports each former resident to fn.
-// The tag array is cleared before the first callback, so fn may refill the
-// cache (crash recovery re-verifies dirty metadata, which walks back through
-// this cache) without the walk observing stale entries.
-func (c *Cache) FlushLines(fn func(lineNum uint64, dirty bool)) {
-	c.lastLine = ^uint64(0)
-	type victim struct {
-		line  uint64
-		dirty bool
-	}
-	victims := make([]victim, 0, c.sets*c.ways)
-	for s := 0; s < c.sets; s++ {
-		vm, dm := c.valid[s], c.dirty[s]
-		c.valid[s] = 0
-		c.dirty[s] = 0
-		for ; vm != 0; vm &= vm - 1 {
-			w := bits.TrailingZeros64(vm)
-			victims = append(victims, victim{
-				line:  c.tags[s*c.ways+w]<<c.shift | uint64(s),
-				dirty: dm>>uint(w)&1 != 0,
-			})
-		}
-	}
-	for _, v := range victims {
-		fn(v.line, v.dirty)
-	}
-}

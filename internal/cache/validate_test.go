@@ -47,33 +47,3 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 	}()
 	New("bad", 48<<10, 8, NewLRU())
 }
-
-func TestFlushLines(t *testing.T) {
-	c := New("t", 64*16, 2, NewLRU()) // 8 sets x 2 ways
-	c.Access(10, false, 0)
-	c.Access(20, true, 0)
-	c.Access(30, false, 0)
-	got := map[uint64]bool{}
-	c.FlushLines(func(line uint64, dirty bool) {
-		got[line] = dirty
-		// Re-entrancy: the callback may refill the cache (crash recovery
-		// walks the tree, which touches the metadata cache).
-		c.Access(line+100, false, 0)
-	})
-	want := map[uint64]bool{10: false, 20: true, 30: false}
-	if len(got) != len(want) {
-		t.Fatalf("FlushLines visited %v, want %v", got, want)
-	}
-	for line, dirty := range want {
-		if got[line] != dirty {
-			t.Fatalf("line %d dirty = %v, want %v (all: %v)", line, got[line], dirty, got)
-		}
-	}
-	// The refills from inside the callback survive; the originals are gone.
-	if r := c.Access(20, false, 0); r.Hit {
-		t.Fatal("flushed line still resident")
-	}
-	if r := c.Access(110, false, 0); !r.Hit {
-		t.Fatal("callback refill was lost")
-	}
-}

@@ -203,13 +203,6 @@ func (c *CET) reset() {
 // Len reports the current number of entries.
 func (c *CET) Len() int { return c.size }
 
-// Clear empties the table, keeping its capacity and window.
-func (c *CET) Clear() {
-	c.byBlock.clear()
-	c.buckets.clear()
-	c.reset()
-}
-
 func (c *CET) bucketOf(block uint64) uint64 { return block >> 6 }
 
 // HitNearby reports whether any resident entry lies within ±window counter

@@ -187,12 +187,6 @@ func (p *DataPredictor) Table() *rl.QTable {
 	return nil
 }
 
-// Reset discards the learned policy state (crash model: the predictor's
-// SRAM state is volatile and not checkpointed; frozen policies model ROM
-// and survive). Statistics are kept — they describe the run, not the
-// hardware.
-func (p *DataPredictor) Reset() { p.policy.Reset() }
-
 // LocalityPredictor is the RL-based CTR locality predictor (Algorithm 1):
 // on every CTR access it classifies the counter block as good or bad
 // locality; the CET grades those classifications over a temporal window.
@@ -249,13 +243,6 @@ func (p *LocalityPredictor) Table() *rl.QTable {
 		return ag.Table
 	}
 	return nil
-}
-
-// Reset discards the learned policy state and the CET contents (crash
-// model: both live in volatile SRAM). Statistics are kept.
-func (p *LocalityPredictor) Reset() {
-	p.policy.Reset()
-	p.cet.Clear()
 }
 
 // RegisterMetrics registers the locality classification counters, the

@@ -307,7 +307,7 @@ func (st *Store) SnapshotBlock(blockIdx uint64) (major uint64, minors []uint32) 
 
 // RestoreBlock overwrites a counter block with previously captured values —
 // the counter half of a replay attack. Legitimate controllers never call
-// this; it exists for fault-injection tests.
+// this; it exists for the enclave's replay attack and its tests.
 func (st *Store) RestoreBlock(blockIdx uint64, major uint64, minors []uint32) {
 	b := st.get(blockIdx)
 	b.major = major

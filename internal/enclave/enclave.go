@@ -246,7 +246,7 @@ func (m *Memory) Read(addr memsys.Addr) (Line, error) {
 	return xorLine(ct, m.pad(line, major, minor)), nil
 }
 
-// --- attacker surface (fault injection for tests and demos) ---
+// --- attacker surface (tampering for tests and demos) ---
 
 // TamperCiphertext flips stored ciphertext bytes, modelling a physical
 // attacker writing DRAM.

@@ -17,7 +17,6 @@ import (
 	"sort"
 	"sync"
 
-	"cosmos/internal/fault"
 	"cosmos/internal/rl"
 	"cosmos/internal/runner"
 	"cosmos/internal/secmem"
@@ -94,9 +93,8 @@ func Scaled(factor float64) Scale {
 type Lab struct {
 	Scale Scale
 
-	ctx   context.Context
-	orch  *runner.Orchestrator
-	fault *fault.Config
+	ctx  context.Context
+	orch *runner.Orchestrator
 
 	dataPolicy *rl.PolicySpec
 	ctrPolicy  *rl.PolicySpec
@@ -117,7 +115,6 @@ type labOptions struct {
 	workers    int
 	store      *runner.Store
 	lifecycle  func(runner.Transition)
-	fault      *fault.Config
 	dataPolicy *rl.PolicySpec
 	ctrPolicy  *rl.PolicySpec
 }
@@ -148,13 +145,6 @@ func WithLifecycle(f func(runner.Transition)) LabOption {
 	return func(o *labOptions) { o.lifecycle = f }
 }
 
-// WithFaults attaches the same fault campaign to every simulation the lab
-// runs. The campaign enters each run's content hash, so faulty and
-// fault-free sweeps over the same cells store separately.
-func WithFaults(fc *fault.Config) LabOption {
-	return func(o *labOptions) { o.fault = fc }
-}
-
 // WithPolicy swaps the predictors' decision engines for every simulation
 // the lab runs: data/ctr select the data-location and CTR-locality policy
 // (nil keeps the design's tabular default for that role). Policy-carrying
@@ -174,7 +164,7 @@ func NewLab(sc Scale, opts ...LabOption) *Lab {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	l := &Lab{Scale: sc, ctx: o.ctx, fault: o.fault, dataPolicy: o.dataPolicy, ctrPolicy: o.ctrPolicy}
+	l := &Lab{Scale: sc, ctx: o.ctx, dataPolicy: o.dataPolicy, ctrPolicy: o.ctrPolicy}
 	l.orch = runner.New(runner.Options{Workers: o.workers, Store: o.store})
 	l.orch.Lifecycle = o.lifecycle
 	return l
@@ -238,7 +228,6 @@ func (l *Lab) spec(workload string, design secmem.Design, opt runOpts) runner.Sp
 		GraphNodes:  l.Scale.GraphNodes,
 		GraphDegree: l.Scale.GraphDegree,
 		Seed:        l.Scale.Seed,
-		Fault:       l.fault,
 	}
 	if l.dataPolicy != nil || l.ctrPolicy != nil {
 		spec = l.withPolicies(spec, l.dataPolicy, l.ctrPolicy)
@@ -324,7 +313,6 @@ func (l *Lab) runCfg(workload, label string, design secmem.Design, cfg sim.Confi
 		GraphDegree: l.Scale.GraphDegree,
 		Seed:        l.Scale.Seed,
 		Config:      &cfg,
-		Fault:       l.fault,
 		Label:       label,
 	})
 }

@@ -24,7 +24,7 @@ func (p *plan) add(spec runner.Spec) {
 // lab's orchestrator at once (its worker pool bounds parallelism), so the
 // serial render that follows finds them memoised — and stored, when the
 // lab has a results store. The cell set comes from the generators
-// themselves: each runs against a planning lab with l's scale, faults and
+// themselves: each runs against a planning lab with l's scale and
 // policies, whose runs record their spec and return zero Results. Work a
 // generator does outside the lab is skipped while planning and runs at
 // render time. Results never depend on the parallelism. The first
@@ -35,8 +35,7 @@ func Prewarm(l *Lab, exps ...Experiment) error {
 		return err
 	}
 	planner := &Lab{
-		Scale: l.Scale, ctx: l.ctx, fault: l.fault,
-		dataPolicy: l.dataPolicy, ctrPolicy: l.ctrPolicy,
+		Scale: l.Scale, ctx: l.ctx, dataPolicy: l.dataPolicy, ctrPolicy: l.ctrPolicy,
 		plan: &plan{seen: map[string]bool{}},
 	}
 	for _, e := range exps {

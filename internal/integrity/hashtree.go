@@ -129,7 +129,8 @@ func (t *HashTree) Root() Digest { return t.root }
 func (t *HashTree) Depth() int { return len(t.levels) - 1 }
 
 // CorruptNode overwrites an untrusted stored node, simulating a physical
-// attacker flipping bits in DRAM. Used by fault-injection tests.
+// attacker flipping bits in DRAM (the enclave's Replay attack and the tamper
+// tests).
 func (t *HashTree) CorruptNode(lvl int, idx uint64, d Digest) {
 	t.nodes[lvl][idx] = d
 }

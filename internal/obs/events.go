@@ -6,8 +6,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-
-	"cosmos/internal/fault"
 )
 
 // Broker is the fan-out hub of the /events SSE stream: producers Publish
@@ -92,19 +90,6 @@ func (b *Broker) publishRaw(typ string, data []byte) {
 		default:
 			b.dropped.Add(1)
 		}
-	}
-}
-
-// FaultNotifier adapts the broker into a fault.Injector Notify hook: every
-// integrity violation (and the crash event) is published as one "fault"
-// event wrapping the violation with the run's label, so one /events stream
-// carries the interleaved fault logs of every executing simulation.
-func (b *Broker) FaultNotifier(label string) func(fault.Event) {
-	return func(ev fault.Event) {
-		b.Publish("fault", struct {
-			Run   string      `json:"run"`
-			Event fault.Event `json:"event"`
-		}{label, ev})
 	}
 }
 

@@ -15,7 +15,7 @@
 //	              queue-wait/exec times, source counts, worker occupancy,
 //	              ETA)
 //	/events       SSE stream of run lifecycle transitions, interval-
-//	              sampler snapshots, fault events and watchdog detections
+//	              sampler snapshots and watchdog detections
 //	/spans        top-K slowest access span trees plus per-cause latency
 //	              percentiles of every attached span recorder
 //	/phases       the online watchdog's detected phase segments and

@@ -88,8 +88,8 @@ func (ag *Agent) Freeze() {
 // Frozen reports whether Freeze was called.
 func (ag *Agent) Frozen() bool { return ag.frozen }
 
-// Reset zeroes the Q-table (crash model: the table lives in volatile SRAM).
-// Frozen agents keep their weights — a frozen policy models a ROM deployment.
+// Reset zeroes the Q-table. Frozen agents keep their weights — a frozen
+// policy models a ROM deployment.
 func (ag *Agent) Reset() {
 	if ag.frozen {
 		return

@@ -44,9 +44,9 @@ type Policy interface {
 	// Frozen reports whether Freeze was called (or the policy was built from
 	// a frozen snapshot).
 	Frozen() bool
-	// Reset discards all learned weights (crash model: policy state lives in
-	// volatile SRAM). Frozen policies keep their weights — a frozen policy
-	// models a ROM/fuse deployment, not volatile state.
+	// Reset discards all learned weights. Frozen policies keep their
+	// weights — a frozen policy models a ROM/fuse deployment, not volatile
+	// state.
 	Reset()
 	// Snapshot serialises the policy into the versioned cosmos-policy-v1
 	// form; Restore loads one previously produced by the same kind.

@@ -551,9 +551,5 @@ func cloneResults(r sim.Results) sim.Results {
 		cp := *r.CtrPred
 		r.CtrPred = &cp
 	}
-	if r.Fault != nil {
-		cp := *r.Fault
-		r.Fault = &cp
-	}
 	return r
 }

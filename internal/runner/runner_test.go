@@ -250,3 +250,46 @@ func TestRunAllReturnsFirstError(t *testing.T) {
 		t.Fatalf("good spec should still execute, stats = %+v", st)
 	}
 }
+
+func TestSpecValidate(t *testing.T) {
+	if err := testSpec().Validate(); err != nil {
+		t.Fatalf("valid spec rejected: %v", err)
+	}
+	cases := []struct {
+		name string
+		f    func(*Spec)
+		want string
+	}{
+		{"empty workload", func(s *Spec) { s.Workload = "" }, "empty workload"},
+		{"empty design", func(s *Spec) { s.Design.Name = "" }, "empty design"},
+		{"zero accesses", func(s *Spec) { s.Accesses = 0 }, "zero accesses"},
+		{"negative cores", func(s *Spec) { s.Cores = -2 }, "negative core count"},
+		{"bad config", func(s *Spec) {
+			cfg := sim.DefaultConfig()
+			cfg.MC.MemBytes = 0
+			s.Config = &cfg
+		}, "memory"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sp := testSpec()
+			tc.f(&sp)
+			err := sp.Validate()
+			if err == nil {
+				t.Fatal("invalid spec accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+func TestMalformedSpecFailsAsError(t *testing.T) {
+	o := New(Options{Workers: 1})
+	sp := testSpec()
+	sp.Workload = ""
+	if _, err := o.Run(context.Background(), sp); err == nil {
+		t.Fatal("orchestrator executed a malformed spec")
+	}
+}

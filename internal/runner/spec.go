@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"cosmos/internal/fault"
 	"cosmos/internal/secmem"
 	"cosmos/internal/sim"
 )
@@ -45,12 +44,6 @@ type Spec struct {
 	// responsible for setting Config.MC.Seed and friends; the spec's Seed
 	// then only feeds the workload generator.
 	Config *sim.Config `json:"config,omitempty"`
-
-	// Fault, when non-nil, attaches a fault campaign to the run. It is part
-	// of the hash — the same workload with and without faults are different
-	// runs — and a nil Fault encodes to nothing, so pre-fault store entries
-	// keep their keys.
-	Fault *fault.Config `json:"fault,omitempty"`
 
 	// Label optionally overrides DisplayLabel for progress reporting and
 	// telemetry file names. It never enters the hash.
@@ -122,8 +115,6 @@ func (s Spec) DisplayLabel() string {
 	}
 	if n.Config != nil {
 		label += "_cfg" + s.Key()[:8]
-	} else if n.Fault != nil {
-		label += "_fault" + s.Key()[:8]
 	}
 	return sanitizeLabel(label)
 }
@@ -145,30 +136,26 @@ func sanitizeLabel(label string) string {
 // config materialises the machine configuration the spec describes,
 // mirroring what cosmos.Run and experiments.Lab historically built.
 func (s Spec) config() sim.Config {
-	var cfg sim.Config
 	if s.Config != nil {
-		cfg = *s.Config
+		return *s.Config
+	}
+	var cfg sim.Config
+	if s.Cores == 8 {
+		cfg = sim.EightCore()
 	} else {
-		if s.Cores == 8 {
-			cfg = sim.EightCore()
-		} else {
-			cfg = sim.DefaultConfig()
-			cfg.Cores = s.Cores
-		}
-		cfg.MC.Seed = s.Seed
-		cfg.MC.Params.Seed = s.Seed
+		cfg = sim.DefaultConfig()
+		cfg.Cores = s.Cores
 	}
-	if s.Fault != nil && cfg.Fault == nil {
-		cfg.Fault = s.Fault
-	}
+	cfg.MC.Seed = s.Seed
+	cfg.MC.Params.Seed = s.Seed
 	return cfg
 }
 
 // Validate rejects specs the executor cannot run, before any simulation
 // state is built: an empty workload name, a zero access budget, negative
-// core counts, bad machine geometry or an unusable fault campaign. The
-// orchestrator calls it at the head of every simulate, so a malformed spec
-// fails fast with a named field instead of panicking deep in Step.
+// core counts or bad machine geometry. The orchestrator calls it at the
+// head of every simulate, so a malformed spec fails fast with a named field
+// instead of panicking deep in Step.
 func (s Spec) Validate() error {
 	if s.Workload == "" {
 		return fmt.Errorf("runner: spec has empty workload (pick a workloads.Build name)")

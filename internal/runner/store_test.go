@@ -2,10 +2,12 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"cosmos/internal/memsys"
 	"cosmos/internal/secmem"
@@ -190,5 +192,71 @@ func TestDamagedTraceCellFailsUnstored(t *testing.T) {
 	}
 	if got := o.Stats().Failed; got != 1 {
 		t.Fatalf("Failed = %d, want 1", got)
+	}
+}
+
+func TestWithRetryTransient(t *testing.T) {
+	defer func(s func(context.Context, time.Duration) error) { storeSleep = s }(storeSleep)
+	var slept []time.Duration
+	storeSleep = func(_ context.Context, d time.Duration) error { slept = append(slept, d); return nil }
+
+	ctx := context.Background()
+	st := &Store{}
+	fails := 2
+	err := st.withRetry(ctx, func() error {
+		if fails > 0 {
+			fails--
+			return errors.New("transient")
+		}
+		return nil
+	}, nil)
+	if err != nil {
+		t.Fatalf("retryable op failed despite recovery: %v", err)
+	}
+	if st.Retries() != 2 || len(slept) != 2 {
+		t.Fatalf("retries = %d, sleeps = %d, want 2 each", st.Retries(), len(slept))
+	}
+	// Exponential backoff: the second wait draws from a doubled base.
+	if slept[1] < storeRetryBase<<1 || slept[1] > storeRetryBase<<2 {
+		t.Fatalf("second backoff %v outside [2x, 4x) base", slept[1])
+	}
+
+	// A permanent failure is retried to the attempt budget, then surfaced.
+	st2 := &Store{}
+	calls := 0
+	if err := st2.withRetry(ctx, func() error { calls++; return errors.New("down") }, nil); err == nil {
+		t.Fatal("permanent failure swallowed")
+	}
+	if calls != storeAttempts {
+		t.Fatalf("op ran %d times, want %d", calls, storeAttempts)
+	}
+
+	// A non-retryable error surfaces immediately.
+	st3 := &Store{}
+	calls = 0
+	sentinel := errors.New("missing")
+	err = st3.withRetry(ctx, func() error { calls++; return sentinel }, func(error) bool { return false })
+	if !errors.Is(err, sentinel) || calls != 1 || st3.Retries() != 0 {
+		t.Fatalf("non-retryable error retried: calls=%d retries=%d err=%v", calls, st3.Retries(), err)
+	}
+}
+
+// TestWithRetryCancelDuringBackoff proves a context cancelled while the
+// retry loop is backing off aborts the wait immediately: the op does not
+// run again and the surfaced error is the context's.
+func TestWithRetryCancelDuringBackoff(t *testing.T) {
+	st := &Store{}
+	ctx, cancel := context.WithCancel(context.Background())
+	calls := 0
+	err := st.withRetry(ctx, func() error {
+		calls++
+		cancel() // the SIGTERM lands while the first backoff is pending
+		return errors.New("transient")
+	}, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if calls != 1 {
+		t.Fatalf("op ran %d times after cancellation, want 1", calls)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"cosmos/internal/core"
 	"cosmos/internal/ctr"
 	"cosmos/internal/dram"
-	"cosmos/internal/fault"
 	"cosmos/internal/integrity"
 	"cosmos/internal/memsys"
 	"cosmos/internal/prefetch"
@@ -132,8 +131,6 @@ func (e *Engine) RegisterMetrics(s *telemetry.Scope) {
 	re := s.Scope("reenc")
 	re.Counter("overflow_events", &e.ReEnc.OverflowEvents)
 	re.Counter("overflow_lines", &e.ReEnc.OverflowLines)
-	re.Counter("fault_lines", &e.ReEnc.FaultLines)
-	re.Counter("crash_lines", &e.ReEnc.CrashLines)
 	re.Counter("stall_cycles", &e.ReEnc.StallCycles)
 
 	e.dram.RegisterMetrics(s.Scope("dram"))
@@ -183,97 +180,20 @@ func (e *Engine) CtrMissRate() float64 {
 // PrefetchStats returns CTR-prefetcher accuracy counters (Fig 5).
 func (e *Engine) PrefetchStats() prefetch.Stats { return e.pfStats }
 
-// AttachFaults connects a fault injector to the engine. Must be called
-// before the first access; a nil injector (the default) leaves every fetch
-// path bit-identical to a fault-free build.
-func (e *Engine) AttachFaults(in *fault.Injector) { e.faults = in }
-
-// Faults returns the attached injector (nil when faults are disabled).
-func (e *Engine) Faults() *fault.Injector { return e.faults }
-
 // AttachSpans connects a span recorder: the engine's metadata-path events
 // annotate it with typed causes (see telemetry.SpanCause). Nil (the
 // default) keeps every path bit-identical and allocation-free.
 func (e *Engine) AttachSpans(rec *telemetry.SpanRecorder) { e.spans = rec }
 
-// faultProbe rolls the fault stream for one DRAM fetch and charges the
-// resulting re-fetch/re-verify retries: each retry is a real DRAM re-read of
-// the same object plus an integrity re-check (AuthLat), booked both on the
-// returned latency and in the traffic decomposition. A persistent counter
-// fault additionally forces the block's data lines to be re-encrypted under
-// a fresh counter (the line is retired; its old counter can't be trusted).
-func (e *Engine) faultProbe(k fault.Kind, now uint64, addr memsys.Addr, detectable bool) (lat uint64) {
-	out := e.faults.OnFetch(k, addr.Line(), detectable)
-	if !out.Injected {
-		return 0
-	}
-	for i := uint64(0); i < out.Retries; i++ {
-		switch k {
-		case fault.KindData:
-			e.Traffic.DataRead++
-		case fault.KindCtr:
-			e.Traffic.CtrRead++
-		case fault.KindMAC:
-			e.Traffic.MACRead++
-		case fault.KindMT:
-			e.Traffic.MTRead++
-		}
-		lat += e.dram.Access(now+lat, uint64(addr), false) + e.cfg.AuthLat
-	}
-	e.faults.AddRetryCycles(lat)
-	if e.spans != nil {
-		e.spans.Note(telemetry.CauseFaultRetry, lat, out.Retries)
-	}
-	if out.Poisoned && k == fault.KindCtr {
-		e.reencryptBlock(now+lat, addr.Line())
-	}
-	return lat
-}
-
-// reencryptBlock re-encrypts every data line covered by the counter at
-// ctrLine under a fresh counter — the recovery storm a poisoned counter
-// forces. The writes are background traffic (bank occupancy, no
-// critical-path latency), mirroring the overflow re-encryption model.
-func (e *Engine) reencryptBlock(now uint64, ctrLine uint64) {
-	if e.layout == nil {
-		return
-	}
-	ctrBase, macBase := e.layout.CtrBase.Line(), e.layout.MACBase.Line()
-	if ctrLine < ctrBase || ctrLine >= macBase {
-		return
-	}
-	block := ctrLine - ctrBase
-	lines := e.layout.LinesPerBlock()
-	base := block * lines
-	var stall uint64
-	for i := uint64(0); i < lines; i++ {
-		e.Traffic.ReEncWrite++
-		e.ReEnc.FaultLines++
-		stall += e.dram.Access(now, (base+i)<<memsys.LineOffsetBits, true)
-	}
-	e.ReEnc.StallCycles += stall
-	if e.spans != nil {
-		e.spans.Note(telemetry.CauseReEnc, stall, lines)
-	}
-}
-
 // DataDRAM performs a 64B data access in DRAM and returns its latency.
-// A demand read also rolls the fault stream (a data corruption is
-// detectable only when the design's MAC covers the address), and a faulty
-// read's retries add to the latency; the injector quarantines a line whose
-// retries run out. Wasted (killed) fetches from mispredictions use
-// WastedFetch.
+// Wasted (killed) fetches from mispredictions use WastedFetch.
 func (e *Engine) DataDRAM(now uint64, addr memsys.Addr, write bool) uint64 {
 	if write {
 		e.Traffic.DataWrite++
 	} else {
 		e.Traffic.DataRead++
 	}
-	lat := e.dram.Access(now, uint64(addr), write)
-	if e.faults != nil && !write {
-		lat += e.faultProbe(fault.KindData, now+lat, addr, e.design.Secure && e.InSecureRegion(addr))
-	}
-	return lat
+	return e.dram.Access(now, uint64(addr), write)
 }
 
 // WastedFetch charges DRAM for a speculative data fetch that was killed
@@ -333,9 +253,6 @@ func (e *Engine) CtrAccess(c int, now uint64, dataLine uint64, write bool) CtrRe
 		e.CtrMisses++
 		lat := e.dram.Access(now, uint64(ctrAddr), false)
 		e.Traffic.CtrRead++
-		if e.faults != nil {
-			lat += e.faultProbe(fault.KindCtr, now+lat, ctrAddr, true)
-		}
 		e.verifyPath(c, now, ctrBlock)
 		res.Latency = lat + e.cfg.CombineLat
 		if e.pfMark != nil {
@@ -378,9 +295,6 @@ func (e *Engine) verifyPath(c int, now uint64, ctrBlock uint64) {
 		for _, nodeAddr := range e.pathBuf {
 			e.Traffic.MTRead++
 			e.dram.Access(now, uint64(nodeAddr), false)
-			if e.faults != nil {
-				e.faultProbe(fault.KindMT, now, nodeAddr, true)
-			}
 		}
 		if e.walkHist != nil {
 			e.walkHist.Observe(uint64(len(e.pathBuf)))
@@ -414,9 +328,6 @@ func (e *Engine) verifyPath(c int, now uint64, ctrBlock uint64) {
 		fetched++
 		e.Traffic.MTRead++
 		e.dram.Access(now, uint64(nodeAddr), false)
-		if e.faults != nil {
-			e.faultProbe(fault.KindMT, now, nodeAddr, true)
-		}
 	}
 	if e.walkHist != nil {
 		e.walkHist.Observe(fetched)
@@ -464,9 +375,6 @@ func (e *Engine) MACAccess(c int, now uint64, dataLine uint64, write bool) {
 	if !r.Hit {
 		e.Traffic.MACRead++
 		lat := e.dram.Access(now, uint64(macAddr), false)
-		if e.faults != nil {
-			e.faultProbe(fault.KindMAC, now, macAddr, true)
-		}
 		if e.spans != nil {
 			e.spans.Note(telemetry.CauseMACFetch, lat, 0)
 		}
@@ -499,73 +407,12 @@ func (e *Engine) prefetchCtr(c int, now uint64, ctrLine uint64) {
 	}
 }
 
-// Crash models a power loss at the memory controller: every volatile
-// metadata structure (CTR caches including resident MT nodes, MAC caches,
-// prefetch marks, optionally the RL tables) is dropped, and the recovery
-// protocol replays — each dirty metadata line must be re-read from DRAM,
-// re-verified against the integrity tree, and written back consistent.
-// Recovery runs serially at the controller; the summed cost is returned so
-// the simulator can stall every thread behind it.
-func (e *Engine) Crash(now uint64, dropRL bool) (cycles, fetches, linesLost uint64) {
-	if e.design.Secure {
-		ctrBase, macBase := e.layout.CtrBase.Line(), e.layout.MACBase.Line()
-		for ci, cc := range e.ctrCaches {
-			cc.FlushLines(func(line uint64, dirty bool) {
-				linesLost++
-				if !dirty {
-					return
-				}
-				// Re-read the stale DRAM copy, re-verify it against the
-				// tree, then write the reconstructed line back.
-				cycles += e.dram.Access(now+cycles, line<<memsys.LineOffsetBits, false)
-				e.Traffic.CtrRead++
-				fetches++
-				if line >= ctrBase && line < macBase {
-					e.verifyPath(ci, now+cycles, line-ctrBase)
-				}
-				cycles += e.cfg.AuthLat
-				cycles += e.dram.Access(now+cycles, line<<memsys.LineOffsetBits, true)
-				e.Traffic.CtrWrite++
-				e.ReEnc.CrashLines++
-			})
-		}
-		for _, mc := range e.macCaches {
-			mc.FlushLines(func(line uint64, dirty bool) {
-				linesLost++
-				if !dirty {
-					return
-				}
-				cycles += e.dram.Access(now+cycles, line<<memsys.LineOffsetBits, false)
-				e.Traffic.MACRead++
-				fetches++
-				cycles += e.cfg.AuthLat
-				cycles += e.dram.Access(now+cycles, line<<memsys.LineOffsetBits, true)
-				e.Traffic.MACWrite++
-				e.ReEnc.CrashLines++
-			})
-		}
-	}
-	clear(e.pfMark)
-	if dropRL {
-		if e.DataPred != nil {
-			e.DataPred.Reset()
-		}
-		if e.CtrPred != nil {
-			e.CtrPred.Reset()
-		}
-	}
-	return cycles, fetches, linesLost
-}
-
 // ResetStats zeroes every measurement while keeping all learned state
 // (Q-tables, CET, cache contents) — called at the end of a warmup phase.
 func (e *Engine) ResetStats() {
 	e.Traffic = Traffic{}
 	e.ReEnc = ReEncStats{}
 	e.CtrHits, e.CtrMisses = 0, 0
-	if e.faults != nil {
-		e.faults.ResetStats()
-	}
 	e.pfStats = prefetch.Stats{}
 	e.dram.Stats = dram.Stats{}
 	for _, c := range e.ctrCaches {

@@ -15,7 +15,6 @@ import (
 	"cosmos/internal/core"
 	"cosmos/internal/ctr"
 	"cosmos/internal/dram"
-	"cosmos/internal/fault"
 	"cosmos/internal/integrity"
 	"cosmos/internal/memsys"
 	"cosmos/internal/prefetch"
@@ -211,15 +210,11 @@ func (t Traffic) Total() uint64 {
 		t.MTRead + t.MACRead + t.MACWrite + t.ReEncWrite + t.WastedDataFetch
 }
 
-// ReEncStats decomposes re-encryption activity by cause: MorphCtr minor-
-// counter overflow (the normal storm), unrecoverable counter faults
-// (poisoned lines force the block under a fresh counter), and crash
-// recovery (lost dirty counter lines rebuilt on restart).
+// ReEncStats accounts re-encryption activity: MorphCtr minor-counter
+// overflows and the storms of data-line writes they force.
 type ReEncStats struct {
 	OverflowEvents uint64 // counter-block overflows observed
 	OverflowLines  uint64 // lines re-encrypted because of overflows
-	FaultLines     uint64 // lines re-encrypted because of poisoned counters
-	CrashLines     uint64 // dirty counter lines rebuilt by crash recovery
 	StallCycles    uint64 // summed DRAM occupancy of re-encryption writes
 }
 
@@ -249,17 +244,10 @@ type Engine struct {
 	// from DRAM per verification walk (telemetry; see RegisterMetrics).
 	walkHist *telemetry.Histogram
 
-	// faults, when non-nil, is the attached fault plane: every demand
-	// fetch of a covered object consults it and charges the resulting
-	// retry latency. Nil (the default) costs one branch per fetch and
-	// keeps the engine bit-identical to a fault-free build.
-	faults *fault.Injector
-
 	// spans, when non-nil, is the attached span recorder: metadata-path
-	// events (counter hits/misses, MT walks, MAC fetches, fault retries,
-	// re-encryption storms) feed its per-cause histograms and, for
-	// sampled accesses, its span trees. Nil (the default) costs one
-	// branch per site.
+	// events (counter hits/misses, MT walks, MAC fetches, re-encryption
+	// storms) feed its per-cause histograms and, for sampled accesses, its
+	// span trees. Nil (the default) costs one branch per site.
 	spans *telemetry.SpanRecorder
 
 	Traffic   Traffic

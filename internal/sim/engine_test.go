@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"cosmos/internal/fault"
 	"cosmos/internal/memsys"
 	"cosmos/internal/secmem"
 	"cosmos/internal/trace"
@@ -19,10 +18,10 @@ func engineConfig() Config {
 
 // engineRun executes 40,000 accesses of a four-thread interleave of mixed
 // patterns, with enough writes that dirty writebacks escape the private
-// levels, and returns the Results and the ordered fault violation log.
-// block false selects the raw scalar engine (one access decoded and
-// stepped at a time, block size 1); true the block-decoded RunContext loop.
-func engineRun(cfg Config, design secmem.Design, block bool) (Results, []fault.Event) {
+// levels, and returns the Results. block false selects the raw scalar
+// engine (one access decoded and stepped at a time, block size 1); true the
+// block-decoded RunContext loop.
+func engineRun(cfg Config, design secmem.Design, block bool) Results {
 	const accesses = 40_000
 	r := memsys.Region{Base: 1 << 28, Size: 64 << 20, Elem: 1}
 	gen := trace.Limit(trace.NewInterleave("mix", []trace.Generator{
@@ -32,18 +31,14 @@ func engineRun(cfg Config, design secmem.Design, block bool) (Results, []fault.E
 		trace.NewPointerChase(r, 1<<14, 5, 4),
 	}, 17), accesses)
 	s := New(cfg, design)
-	var events []fault.Event
-	if in := s.Faults(); in != nil {
-		in.Notify = func(ev fault.Event) { events = append(events, ev) }
-	}
 	if block {
-		return s.Run(gen, accesses), events
+		return s.Run(gen, accesses)
 	}
 	var one [1]memsys.Access
 	for gen.NextBlock(one[:]) == 1 {
 		s.Step(one[0])
 	}
-	return s.Results(gen.Name()), events
+	return s.Results(gen.Name())
 }
 
 // TestEngineEquivalence is the engine property: the scalar engine and the
@@ -71,37 +66,12 @@ func TestEngineEquivalence(t *testing.T) {
 		tc{"shared-only", sharedOnly, secmem.DesignCosmos()})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want, _ := engineRun(c.cfg, c.design, false)
+			want := engineRun(c.cfg, c.design, false)
 			if want.Accesses != 40_000 {
 				t.Fatalf("scalar engine ran %d accesses, want 40000", want.Accesses)
 			}
-			if got, _ := engineRun(c.cfg, c.design, true); !reflect.DeepEqual(want, got) {
+			if got := engineRun(c.cfg, c.design, true); !reflect.DeepEqual(want, got) {
 				t.Fatalf("block engine diverged from scalar:\nscalar %+v\nblock  %+v", want, got)
-			}
-		})
-	}
-}
-
-// TestEngineEquivalenceUnderFaults extends the property to fault campaigns:
-// the Results, the fault report and the full ordered violation log must be
-// identical across engines — fault draws are a pure function of the global
-// access index, which both engines replay in the same order. The crash
-// point lands inside a decode block.
-func TestEngineEquivalenceUnderFaults(t *testing.T) {
-	cfg := engineConfig()
-	cfg.Fault = &fault.Config{Seed: 13, Rate: 2e-4, CrashAt: 17_777}
-	for _, d := range []secmem.Design{secmem.DesignCosmos(), secmem.DesignMorph()} {
-		t.Run(d.Name, func(t *testing.T) {
-			want, wantEv := engineRun(cfg, d, false)
-			if want.Fault == nil || want.Fault.Injected == 0 {
-				t.Fatalf("campaign injected nothing: %+v", want.Fault)
-			}
-			got, gotEv := engineRun(cfg, d, true)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("block engine diverged under faults:\nscalar %+v\nblock  %+v", want, got)
-			}
-			if !reflect.DeepEqual(wantEv, gotEv) {
-				t.Fatalf("violation log diverged: %d vs %d events", len(wantEv), len(gotEv))
 			}
 		})
 	}

@@ -15,7 +15,6 @@ import (
 	"cosmos/internal/cache"
 	"cosmos/internal/core"
 	"cosmos/internal/dram"
-	"cosmos/internal/fault"
 	"cosmos/internal/memsys"
 	"cosmos/internal/prefetch"
 	"cosmos/internal/secmem"
@@ -59,17 +58,12 @@ type Config struct {
 	MLP uint64
 
 	MC secmem.Config
-
-	// Fault, when non-nil and enabled, attaches the deterministic fault
-	// plane (internal/fault) to the memory controller. Nil — or an all-zero
-	// config — keeps the simulation bit-identical to a fault-free build.
-	Fault *fault.Config `json:",omitempty"`
 }
 
 // Validate rejects configurations that would otherwise panic deep inside
 // Step: non-power-of-two cache geometry, zero latencies, degenerate core or
-// overlap counts, bad DRAM geometry and unusable fault campaigns. The CLIs
-// and the runner call it before building a System.
+// overlap counts and bad DRAM geometry. The CLIs and the runner call it
+// before building a System.
 func (c Config) Validate() error {
 	if c.Cores < 1 {
 		return fmt.Errorf("sim: cores %d must be at least 1", c.Cores)
@@ -105,11 +99,6 @@ func (c Config) Validate() error {
 	mc.Cores = c.Cores // New overwrites it the same way
 	if err := mc.Validate(); err != nil {
 		return err
-	}
-	if c.Fault != nil {
-		if err := c.Fault.Validate(); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -210,10 +199,6 @@ type System struct {
 	phases  *telemetry.Phases
 	spans   *telemetry.SpanRecorder
 
-	// faults, when non-nil, is the attached fault plane (also wired into
-	// the memory controller engine).
-	faults *fault.Injector
-
 	// cycleBase is each thread's clock when measurement began (the end of
 	// a warmup); Results reports cycles since then. The clocks themselves
 	// never rewind, so the timing state they are compared against (DRAM
@@ -230,14 +215,6 @@ func New(cfg Config, design secmem.Design) *System {
 	s := &System{cfg: cfg, design: design}
 	s.specs = cfg.levelSpecs()
 	s.mc = secmem.NewEngine(cfg.MC, design)
-	if cfg.Fault.Enabled() {
-		in, err := fault.NewInjector(*cfg.Fault)
-		if err != nil {
-			panic(fmt.Sprintf("sim: %v", err)) // Config.Validate catches this earlier
-		}
-		s.faults = in
-		s.mc.AttachFaults(in)
-	}
 
 	s.sharedFrom = len(s.specs)
 	for i, sp := range s.specs {
@@ -300,10 +277,6 @@ func New(cfg Config, design secmem.Design) *System {
 // MC exposes the memory controller (for experiment harnesses).
 func (s *System) MC() *secmem.Engine { return s.mc }
 
-// Faults exposes the attached fault injector (nil when faults are
-// disabled), e.g. to hook its Notify callback up to an event broker.
-func (s *System) Faults() *fault.Injector { return s.faults }
-
 // Chain returns core c's on-chip hierarchy, top (L1) first. Shared levels
 // appear in every core's chain as the same *cache.Level; the secure-memory
 // terminal the last level drains into is not included. The slice is the
@@ -338,9 +311,6 @@ func (s *System) RegisterMetrics(root *telemetry.Scope) {
 		s.chains[0][i].RegisterMetrics(root.Scope(s.specs[i].Name))
 	}
 	s.mc.RegisterMetrics(root.Scope("secmem"))
-	if s.faults != nil {
-		s.faults.RegisterMetrics(root.Scope("fault"))
-	}
 }
 
 // AttachSampler enables interval sampling during Run. The sampler must be
@@ -351,11 +321,10 @@ func (s *System) AttachSampler(sp *telemetry.Sampler) { s.sampler = sp }
 // recorder's per-cause latency histograms, and a deterministic 1-in-N
 // subset of accesses gets a full span tree (see telemetry.SpanRecorder).
 // The recorder is also attached to the memory controller so metadata-path
-// events (counter misses, MT walks, MAC fetches, fault retries,
-// re-encryption storms) annotate the same trees, and it learns the level
-// names and latencies its level-miss spans are laid out from. Not attaching
-// one (the default) keeps Step allocation-free and the Results
-// bit-identical.
+// events (counter misses, MT walks, MAC fetches, re-encryption storms)
+// annotate the same trees, and it learns the level names and latencies its
+// level-miss spans are laid out from. Not attaching one (the default) keeps
+// Step allocation-free and the Results bit-identical.
 func (s *System) AttachSpans(rec *telemetry.SpanRecorder) {
 	names := make([]string, len(s.specs))
 	for i, sp := range s.specs {
@@ -388,15 +357,6 @@ const phaseBlock = 256
 // in the shared exit.
 func (s *System) Step(a memsys.Access) uint64 {
 	c := int(a.Thread) % s.cfg.Cores
-	if s.faults != nil {
-		// Pin the fault stream to this access's index so every draw the
-		// access triggers is a pure function of (seed, kind, step, line),
-		// then fire the crash point if it is due.
-		s.faults.BeginStep(s.accesses)
-		if s.faults.CrashDue(s.accesses) {
-			s.crash()
-		}
-	}
 	now := s.threadCycles[c]
 	write := a.Type == memsys.Write
 	line := a.Addr.Line()
@@ -463,24 +423,6 @@ func (s *System) Step(a memsys.Access) uint64 {
 	}
 	s.advance(c, write, a.Dep, lat)
 	return lat
-}
-
-// crash fires the configured crash point: the memory controller loses its
-// volatile metadata state (and, when configured, the RL tables), the
-// recovery protocol replays, and its serial cost stalls every thread — so
-// recovery latency shows up directly in Cycles and IPC.
-func (s *System) crash() {
-	var now uint64
-	for _, cyc := range s.threadCycles {
-		if cyc > now {
-			now = cyc
-		}
-	}
-	cycles, fetches, lost := s.mc.Crash(now, s.faults.CrashDropRL())
-	s.faults.RecordCrash(s.accesses, cycles, fetches, lost)
-	for i := range s.threadCycles {
-		s.threadCycles[i] = now + cycles
-	}
 }
 
 // advance applies the cycle cost of one access group to its thread: compute
@@ -680,11 +622,6 @@ type Results struct {
 	CtrPred  *core.CtrStats
 	Prefetch prefetch.Stats
 
-	// Fault carries the fault campaign's outcome (injections, detections,
-	// retries, poisoned lines, crash recovery cost). Nil when the run had
-	// no fault plane attached, so fault-free Results are unchanged.
-	Fault *fault.Report `json:",omitempty"`
-
 	// Tail carries the per-cause latency distributions (p50/p95/p99/p999)
 	// when a span recorder was attached. Nil otherwise, so span-free
 	// Results are byte-identical to earlier builds.
@@ -736,10 +673,6 @@ func (s *System) Results(workload string) Results {
 	if s.mc.CtrPred != nil {
 		st := s.mc.CtrPred.Stats
 		res.CtrPred = &st
-	}
-	if s.faults != nil {
-		rep := s.faults.Report()
-		res.Fault = &rep
 	}
 	if s.spans != nil {
 		res.Tail = s.spans.Report()

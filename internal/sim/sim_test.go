@@ -196,3 +196,34 @@ func TestGraphWorkloadEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+func TestConfigValidate(t *testing.T) {
+	if err := testConfig().Validate(); err != nil {
+		t.Fatalf("default config invalid: %v", err)
+	}
+	mutate := func(f func(*Config)) error {
+		cfg := testConfig()
+		f(&cfg)
+		return cfg.Validate()
+	}
+	cases := []struct {
+		name string
+		f    func(*Config)
+	}{
+		{"zero cores", func(c *Config) { c.Cores = 0 }},
+		{"zero mlp", func(c *Config) { c.MLP = 0 }},
+		{"zero instr-per-access", func(c *Config) { c.InstrPerAccess = 0 }},
+		{"non-power-of-two L1", func(c *Config) { c.L1Bytes = 48 << 10 }},
+		{"zero L2 latency", func(c *Config) { c.L2Lat = 0 }},
+		{"zero mem", func(c *Config) { c.MC.MemBytes = 0 }},
+		{"bad ctr cache", func(c *Config) { c.MC.CtrCacheBytes = 100 }},
+		{"bad dram row", func(c *Config) { c.MC.DRAM.RowBytes = 100 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := mutate(tc.f); err == nil {
+				t.Fatal("invalid config accepted")
+			}
+		})
+	}
+}

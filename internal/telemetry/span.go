@@ -41,11 +41,8 @@ const (
 	CauseMTWalk
 	// CauseMACFetch is a MAC-block DRAM fetch on a MAC-cache miss.
 	CauseMACFetch
-	// CauseFaultRetry is the re-fetch/re-verify latency a detected fault
-	// charged; Value is the retry count.
-	CauseFaultRetry
-	// CauseReEnc is a re-encryption storm (counter overflow or poisoned
-	// counter); Dur is the DRAM stall booked, Value the lines rewritten.
+	// CauseReEnc is a re-encryption storm (a counter overflow); Dur is the
+	// DRAM stall booked, Value the lines rewritten.
 	CauseReEnc
 	// CauseDataDRAM is the demand data read in DRAM.
 	CauseDataDRAM
@@ -55,7 +52,7 @@ const (
 
 var spanCauseNames = [numSpanCauses]string{
 	"access", "level_miss", "fetch", "walk", "ctr_hit", "ctr_miss",
-	"mt_walk", "mac_fetch", "fault_retry", "reenc_stall", "data_dram",
+	"mt_walk", "mac_fetch", "reenc_stall", "data_dram",
 }
 
 // String returns the cause's stable snake_case name (used in JSON, metric
@@ -246,9 +243,10 @@ func (r *SpanRecorder) Note(cause SpanCause, dur, value uint64) {
 // histograms observe the chain lengths, and a sampled access gets its fetch
 // node assembled — walk, counter and data children from the path geometry
 // (starts relative to the access's t0; `start` is the L1 lookup cost) plus
-// the pending engine notes. A leading run of fault-retry notes ending in an
-// MT walk can only have come from the counter chain, so it nests under the
-// counter node; everything else attaches to the fetch node in event order.
+// the pending engine notes. A leading MT walk can only have come from the
+// counter chain (its verification concludes a counter miss), so it nests
+// under the counter node; everything else attaches to the fetch node in
+// event order.
 func (r *SpanRecorder) NoteFetch(start, walkLat, ctrStart, ctrLat, dataStart, dataLat, end uint64,
 	secure, ctrHit, predictedOff bool) {
 	r.hists[CauseWalk].Observe(walkLat)
@@ -267,11 +265,9 @@ func (r *SpanRecorder) NoteFetch(start, walkLat, ctrStart, ctrLat, dataStart, da
 			cause = CauseCtrHit
 		}
 		ctr := Span{Cause: cause, Label: "ctr+otp", Start: start + ctrStart, Dur: ctrLat}
-		if !ctrHit {
-			if n := ctrChainPrefix(pending); n > 0 {
-				ctr.Children = append(ctr.Children, pending[:n]...)
-				pending = pending[n:]
-			}
+		if !ctrHit && len(pending) > 0 && pending[0].Cause == CauseMTWalk {
+			ctr.Children = append(ctr.Children, pending[0])
+			pending = pending[1:]
 		}
 		fetch.Children = append(fetch.Children, ctr)
 	}
@@ -284,23 +280,6 @@ func (r *SpanRecorder) NoteFetch(start, walkLat, ctrStart, ctrLat, dataStart, da
 	fetch.Children = append(fetch.Children, pending...)
 	r.pending = r.pending[:0]
 	r.cur.Root.Children = append(r.cur.Root.Children, fetch)
-}
-
-// ctrChainPrefix finds the counter chain's note prefix: fault retries
-// followed by exactly one MT walk (the verification always concludes a
-// counter miss, and no other chain emits an MT walk before it).
-func ctrChainPrefix(pending []Span) int {
-	for i, sp := range pending {
-		switch sp.Cause {
-		case CauseFaultRetry:
-			continue
-		case CauseMTWalk:
-			return i + 1
-		default:
-			return 0
-		}
-	}
-	return 0
 }
 
 // EndAccess closes the access: the access-latency histogram observes every

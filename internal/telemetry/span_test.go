@@ -109,12 +109,10 @@ func TestSpanRecorderCtrNesting(t *testing.T) {
 	r.SetLevels([]string{"l1"}, []uint64{2})
 	r.MaybeBegin(0, 2, 7)
 	r.LevelMisses(1)
-	// Engine-side order on a secure counter miss with a data-side fault:
-	// ctr fault retry, the MT walk, then the data retry and the MAC fetch.
-	r.Note(CauseFaultRetry, 30, 1)
+	// Engine-side order on a secure counter miss: the MT walk, the counter
+	// miss itself, then the MAC fetch.
 	r.Note(CauseMTWalk, 0, 3)
 	r.Note(CauseCtrMiss, 90, 0)
-	r.Note(CauseFaultRetry, 25, 1)
 	r.Note(CauseMACFetch, 18, 0)
 	r.NoteFetch(2, 148, 148, 130, 148, 40, 300, true, false, false)
 	r.EndAccess(302)
@@ -135,8 +133,8 @@ func TestSpanRecorderCtrNesting(t *testing.T) {
 	if fetch.Cause != CauseFetch {
 		t.Fatalf("second child = %v, want fetch", fetch.Cause)
 	}
-	// Fetch children: walk, ctr (with the ctr-chain prefix nested), data,
-	// then the remaining engine notes in order.
+	// Fetch children: walk, ctr (with the MT walk nested), data, then the
+	// remaining engine notes in order.
 	var ctr *Span
 	for i := range fetch.Children {
 		if fetch.Children[i].Cause == CauseCtrMiss {
@@ -146,25 +144,21 @@ func TestSpanRecorderCtrNesting(t *testing.T) {
 	if ctr == nil {
 		t.Fatalf("no ctr node in fetch children: %+v", fetch.Children)
 	}
-	if len(ctr.Children) != 2 ||
-		ctr.Children[0].Cause != CauseFaultRetry || ctr.Children[1].Cause != CauseMTWalk {
-		t.Fatalf("ctr children = %+v, want [fault_retry, mt_walk]", ctr.Children)
+	if len(ctr.Children) != 1 || ctr.Children[0].Cause != CauseMTWalk {
+		t.Fatalf("ctr children = %+v, want [mt_walk]", ctr.Children)
 	}
-	if ctr.Children[1].Value != 3 {
-		t.Fatalf("mt walk depth = %d, want 3", ctr.Children[1].Value)
+	if ctr.Children[0].Value != 3 {
+		t.Fatalf("mt walk depth = %d, want 3", ctr.Children[0].Value)
 	}
 	tail := fetch.Children[len(fetch.Children)-2:]
-	if tail[0].Cause != CauseFaultRetry || tail[1].Cause != CauseMACFetch {
-		t.Fatalf("trailing fetch children = %+v, want [fault_retry, mac_fetch]", tail)
+	if tail[0].Cause != CauseDataDRAM || tail[1].Cause != CauseMACFetch {
+		t.Fatalf("trailing fetch children = %+v, want [data_dram, mac_fetch]", tail)
 	}
 
 	// The histograms observed every note regardless of nesting.
 	if r.Hist(CauseMTWalk).Count() != 1 || r.Hist(CauseMTWalk).Max() != 3 {
 		t.Fatalf("mt_walk hist count/max = %d/%d",
 			r.Hist(CauseMTWalk).Count(), r.Hist(CauseMTWalk).Max())
-	}
-	if r.Hist(CauseFaultRetry).Count() != 2 {
-		t.Fatalf("fault_retry hist count = %d, want 2", r.Hist(CauseFaultRetry).Count())
 	}
 }
 

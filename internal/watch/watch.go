@@ -3,7 +3,7 @@
 // (telemetry.SamplerConfig.Observer), with no disk or serialisation
 // round-trip. It answers two questions the raw time-series leaves to
 // offline analysis: "did this interval look wildly unlike the run so far?"
-// (anomaly — a fault burst, a CTR-occupancy swing) and "has the run's
+// (anomaly — a re-encryption storm, a CTR-occupancy swing) and "has the run's
 // steady-state behaviour shifted?" (phase change — a workload switch, a
 // working-set migration).
 //
@@ -36,8 +36,8 @@ import (
 // default thresholds below.
 type Config struct {
 	// Signals are the sampler metric names to track. Signals absent from
-	// a row (e.g. "fault.injected_total" on a fault-free run) are
-	// silently ignored. Empty = DefaultSignals().
+	// a row (e.g. "secmem.data_pred.accuracy" on a design without the data
+	// predictor) are silently ignored. Empty = DefaultSignals().
 	Signals []string
 	// MinSamples is the per-phase warmup before the detector may alarm
 	// (default 8 intervals).
@@ -57,15 +57,14 @@ type Config struct {
 }
 
 // DefaultSignals are the run-health signals tracked when Config.Signals is
-// empty: off-chip pressure, mean fetch latency, CTR-cache locality, walk
-// bypass behaviour and fault activity.
+// empty: off-chip pressure, mean fetch latency, CTR-cache locality and walk
+// bypass behaviour.
 func DefaultSignals() []string {
 	return []string{
 		"sim.offchip_reads",
 		"sim.avg_fetch_lat",
 		"sim.bypass_rate",
 		"secmem.ctr.miss_rate",
-		"fault.injected_total",
 	}
 }
 

@@ -102,34 +102,34 @@ func TestWatchdogPureNoiseNeverAlarms(t *testing.T) {
 }
 
 func TestWatchdogConstantThenBurst(t *testing.T) {
-	// A fault-burst shape: a counter flat at zero, then a burst. The
+	// A storm shape: a counter flat at zero, then a burst. The
 	// constant series has zero variance; the epsilon floor must make the
 	// burst an immediate anomaly, not a division blow-up.
 	var events []Event
 	reg := telemetry.NewRegistry()
-	var injected uint64
-	reg.Root().Scope("fault").Counter("injected_total", &injected)
+	var overflows uint64
+	reg.Root().Scope("secmem").Scope("reenc").Counter("overflow_events", &overflows)
 	d := New(reg, Config{
-		Signals: []string{"fault.injected_total"},
+		Signals: []string{"secmem.reenc.overflow_events"},
 		Notify:  func(ev Event) { events = append(events, ev) },
 	})
 	for i := 0; i < 15; i++ {
 		v := 0.0
 		if i >= 12 {
-			v = 40 // injections per interval during the burst
+			v = 40 // overflows per interval during the burst
 		}
 		d.ObserveRow(telemetry.Row{
 			Interval: i, Accesses: uint64(i+1) * 1000, Delta: 1000,
-			Values: map[string]float64{"fault.injected_total": v},
+			Values: map[string]float64{"secmem.reenc.overflow_events": v},
 		})
 	}
 	if d.AnomalyCount() == 0 {
-		t.Fatal("fault burst raised no anomaly")
+		t.Fatal("overflow burst raised no anomaly")
 	}
 	if events[0].Interval != 12 {
 		t.Fatalf("burst detected at interval %d, want 12 (within two intervals)", events[0].Interval)
 	}
-	if events[0].Kind != "anomaly" || events[0].Signal != "fault.injected_total" {
+	if events[0].Kind != "anomaly" || events[0].Signal != "secmem.reenc.overflow_events" {
 		t.Fatalf("event = %+v", events[0])
 	}
 }
