@@ -111,10 +111,6 @@ func run() int {
 		cliflags.ListPolicies(os.Stdout)
 		return 0
 	}
-	if policy.Log != "" {
-		logger.Error("transition logging is per-simulation; record with cosmos-sim -policy-log instead")
-		return exitUsage
-	}
 	dataPolicy, ctrPolicy, err := policy.Specs()
 	if err != nil {
 		logger.Error("policy flags", "err", err)

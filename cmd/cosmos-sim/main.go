@@ -40,7 +40,6 @@ import (
 
 	"cosmos/cmd/internal/cliflags"
 	"cosmos/internal/obs"
-	"cosmos/internal/policytrain"
 	"cosmos/internal/runner"
 	"cosmos/internal/secmem"
 	"cosmos/internal/sim"
@@ -170,25 +169,6 @@ func main() {
 
 	s := sim.New(cfg, d)
 	label := *workload + "_" + d.Name
-
-	if policy.Log != "" {
-		lw, err := policytrain.CreateLog(policy.Log)
-		if err != nil {
-			die("create policy log", err)
-		}
-		if dp := s.MC().DataPred; dp != nil {
-			dp.AttachRecorder(lw.Sink(policytrain.RoleData))
-		}
-		if cp := s.MC().CtrPred; cp != nil {
-			cp.AttachRecorder(lw.Sink(policytrain.RoleCtr))
-		}
-		defer func() {
-			if err := lw.Close(); err != nil {
-				die("policy log", err)
-			}
-			logger.Info("policy transition log written", "path", policy.Log, "records", lw.Records)
-		}()
-	}
 
 	// Phase attribution is always on: the attributed run loop costs ~two
 	// clock reads per 256 steps and feeds the wall-time breakdown in the

@@ -1,6 +1,6 @@
 // Package cliflags centralises the flag sets every cosmos command used to
 // copy-paste: the observability plane trio (-listen, -log-format,
-// -log-level), the learned-policy zoo (-policy, -policy-frozen,
+// -log-level), the learned-policy zoo (-policy, -policy-role,
 // -list-policies) and the campaign timeout. Each Register* call adds one
 // group to a FlagSet; a command picks exactly the groups it supports, so
 // flag names, defaults and help text stay identical across binaries by
@@ -22,7 +22,6 @@ import (
 
 	"cosmos/internal/core"
 	"cosmos/internal/obs"
-	"cosmos/internal/policytrain"
 	"cosmos/internal/rl"
 	"cosmos/internal/telemetry"
 )
@@ -95,24 +94,18 @@ func (s *Spans) Recorder() *telemetry.SpanRecorder {
 
 // Policy holds the learned-policy zoo flags.
 type Policy struct {
-	Kind   string
-	Frozen string
-	Role   string
-	Log    string
-	List   bool
+	Kind string
+	Role string
+	List bool
 }
 
-// RegisterPolicy adds the -policy* flags and -list-policies to fs.
+// RegisterPolicy adds -policy, -policy-role and -list-policies to fs.
 func RegisterPolicy(fs *flag.FlagSet) *Policy {
 	p := &Policy{}
 	fs.StringVar(&p.Kind, "policy", "",
 		"predictor policy kind ("+strings.Join(rl.PolicyKinds(), ", ")+"; empty = the design's tabular default)")
-	fs.StringVar(&p.Frozen, "policy-frozen", "",
-		"deploy a frozen cosmos-policy-v1 file (predictor role read from the file; override with -policy-role)")
 	fs.StringVar(&p.Role, "policy-role", "both",
-		"predictor role the -policy/-policy-frozen selection applies to: data | ctr | both")
-	fs.StringVar(&p.Log, "policy-log", "",
-		"dump every predictor transition as JSONL to this file (training data for cosmos-policy)")
+		"predictor role the -policy selection applies to: data | ctr | both")
 	fs.BoolVar(&p.List, "list-policies", false, "list the available policy kinds and exit")
 	return p
 }
@@ -126,8 +119,7 @@ func ListPolicies(w io.Writer) {
 }
 
 // Apply resolves the parsed policy flags into the Params' per-role policy
-// specs. An unknown kind or role, an unreadable frozen file, or a frozen
-// file without a resolvable role all return errors naming the valid
+// specs. An unknown kind or role returns an error naming the valid
 // choices. No flags set leaves the Params untouched, so the nil-spec
 // hash-stability guarantee holds for every policy-free invocation.
 func (p *Policy) Apply(params *core.Params) error {
@@ -148,55 +140,31 @@ func (p *Policy) Apply(params *core.Params) error {
 // that role keeps the design default) — the form experiments.WithPolicy
 // consumes. Errors mirror Apply's.
 func (p *Policy) Specs() (data, ctr *rl.PolicySpec, err error) {
-	roles, err := p.roles()
-	if err != nil {
-		return nil, nil, err
-	}
-	var byRole [2]*rl.PolicySpec
-	if p.Kind != "" {
-		spec := &rl.PolicySpec{Kind: p.Kind}
-		if err := spec.Validate(); err != nil {
-			return nil, nil, err
-		}
-		for _, role := range roles {
-			byRole[roleIndex(role)] = spec
-		}
-	}
-	if p.Frozen != "" {
-		sn, err := rl.LoadSnapshot(p.Frozen)
-		if err != nil {
-			return nil, nil, err
-		}
-		role := sn.Meta.Role
-		if p.Role != "both" {
-			role = p.Role
-		}
-		if role == "" {
-			return nil, nil, fmt.Errorf("cliflags: %s carries no predictor role; pass -policy-role (data | ctr)", p.Frozen)
-		}
-		if err := policytrain.ValidateRole(role); err != nil {
-			return nil, nil, err
-		}
-		byRole[roleIndex(role)] = &rl.PolicySpec{Kind: sn.Kind, Frozen: &sn}
-	}
-	return byRole[0], byRole[1], nil
-}
-
-func (p *Policy) roles() ([]string, error) {
+	var dataRole, ctrRole bool
 	switch p.Role {
 	case "both":
-		return policytrain.Roles(), nil
-	case policytrain.RoleData, policytrain.RoleCtr:
-		return []string{p.Role}, nil
+		dataRole, ctrRole = true, true
+	case "data":
+		dataRole = true
+	case "ctr":
+		ctrRole = true
+	default:
+		return nil, nil, fmt.Errorf("cliflags: unknown policy role %q (valid: data, ctr, both)", p.Role)
 	}
-	return nil, fmt.Errorf("cliflags: unknown policy role %q (valid: data, ctr, both)", p.Role)
-}
-
-func roleIndex(role string) int {
-	if role == policytrain.RoleData {
-		return 0
+	if p.Kind == "" {
+		return nil, nil, nil
 	}
-	return 1
+	spec := &rl.PolicySpec{Kind: p.Kind}
+	if err := spec.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if dataRole {
+		data = spec
+	}
+	if ctrRole {
+		ctr = spec
+	}
+	return data, ctr, nil
 }
 
 // Coord holds the distributed-campaign flags: one binary is either a

@@ -197,7 +197,9 @@ type ExperimentOpts struct {
 	// with the same directory executes only the missing cells.
 	ResultsDir string
 	// Progress, when non-nil, receives a RunUpdate per completed
-	// simulation request. It may be called concurrently.
+	// simulation request: one per distinct cell from the planning pass,
+	// then one per request of the render, which finds every cell memoised.
+	// It may be called concurrently.
 	Progress func(RunUpdate)
 }
 
@@ -212,10 +214,12 @@ func RunExperiment(id string, scale float64) (*stats.Table, error) {
 	return RunExperimentContext(context.Background(), id, ExperimentOpts{Scale: scale})
 }
 
-// RunExperimentContext regenerates one paper table or figure under ctx.
-// Simulation failures — a cancelled context, a bad workload, a panicking
-// model component — surface as the returned error instead of a partial
-// table.
+// RunExperimentContext regenerates one paper table or figure under ctx. It
+// plans, then renders: every distinct cell the experiment requests runs
+// first, opts.Workers at a time, and the table is then rendered from the
+// memoised results. Simulation failures — a cancelled context, a bad
+// workload, a panicking model component — surface as the returned error
+// instead of a partial table.
 func RunExperimentContext(ctx context.Context, id string, opts ExperimentOpts) (*stats.Table, error) {
 	e, err := experiments.ByID(id)
 	if err != nil {
@@ -248,6 +252,8 @@ func RunExperimentContext(ctx context.Context, id string, opts ExperimentOpts) (
 		}))
 	}
 	l := experiments.NewLab(experiments.Scaled(opts.Scale), lopts...)
+	// A failed prewarm stays on the lab, so e.Run returns it unrendered.
+	_ = experiments.Prewarm(l, e)
 	return e.Run(l)
 }
 

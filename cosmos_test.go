@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cosmos/internal/experiments"
@@ -50,7 +52,7 @@ func TestRegistriesNonEmpty(t *testing.T) {
 	if len(Designs()) != 8 {
 		t.Fatalf("designs: %v", Designs())
 	}
-	if len(Experiments()) != 27 {
+	if len(Experiments()) != 26 {
 		t.Fatalf("experiments: %v", Experiments())
 	}
 }
@@ -87,32 +89,35 @@ func TestRunContextCancelled(t *testing.T) {
 
 func TestRunExperimentContextResume(t *testing.T) {
 	dir := t.TempDir()
-	var executed, restored int
+	// Progress may be called concurrently: the planning pass runs cells in
+	// parallel.
+	var executed, restored atomic.Int64
 	opts := ExperimentOpts{ResultsDir: dir, Progress: func(u RunUpdate) {
 		switch u.Source {
 		case "executed":
-			executed++
+			executed.Add(1)
 		case "restored":
-			restored++
+			restored.Add(1)
 		}
 	}}
 	a, err := RunExperimentContext(context.Background(), "fig2", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if executed == 0 {
+	if executed.Load() == 0 {
 		t.Fatal("first campaign should execute simulations")
 	}
 
-	executed, restored = 0, 0
+	executed.Store(0)
+	restored.Store(0)
 	b, err := RunExperimentContext(context.Background(), "fig2", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if executed != 0 {
-		t.Fatalf("resumed campaign executed %d simulations, want 0", executed)
+	if n := executed.Load(); n != 0 {
+		t.Fatalf("resumed campaign executed %d simulations, want 0", n)
 	}
-	if restored == 0 {
+	if restored.Load() == 0 {
 		t.Fatal("resumed campaign restored nothing")
 	}
 	if a.String() != b.String() {
@@ -121,18 +126,27 @@ func TestRunExperimentContextResume(t *testing.T) {
 }
 
 // TestProgressOneUpdatePerRequest holds Progress to exactly one RunUpdate
-// per run request: the executed and memoised requests of a cold campaign,
-// then the restored and memoised ones of its resume, counted against a
-// reference lab replaying the campaign from the same store. fig17 asks for
-// some cells more than once, so it has memoised requests.
+// per run request. RunExperimentContext plans, then renders: the planning
+// pass requests every distinct cell once (executed cold, restored on the
+// resume), and the render then requests every cell again, each time in
+// the serial order and each one memoised. The counts are checked against
+// a reference lab rendering the campaign serially from the same store,
+// whose restored requests are the distinct cells and whose restored plus
+// memoised requests are the render's. fig17 asks for some cells more than
+// once, so the two counts differ.
 func TestProgressOneUpdatePerRequest(t *testing.T) {
 	dir := t.TempDir()
-	var updates map[string]uint64
+	var (
+		mu      sync.Mutex
+		updates map[string]uint64
+	)
 	opts := ExperimentOpts{ResultsDir: dir, Workers: 1, Progress: func(u RunUpdate) {
 		if u.Err != nil {
 			t.Errorf("update %+v carries an error", u)
 		}
+		mu.Lock()
 		updates[u.Source]++
+		mu.Unlock()
 	}}
 	campaign := func() map[string]uint64 {
 		updates = map[string]uint64{}
@@ -159,26 +173,50 @@ func TestProgressOneUpdatePerRequest(t *testing.T) {
 	if ref.Restored == 0 || ref.Memoised == 0 {
 		t.Fatalf("reference campaign %+v lacks restored or memoised requests", ref)
 	}
-	wantCold := map[string]uint64{"executed": ref.Restored, "memoised": ref.Memoised}
-	wantWarm := map[string]uint64{"restored": ref.Restored, "memoised": ref.Memoised}
+	cells, requests := ref.Restored, ref.Restored+ref.Memoised
+	wantCold := map[string]uint64{"executed": cells, "memoised": requests}
+	wantWarm := map[string]uint64{"restored": cells, "memoised": requests}
 	if !reflect.DeepEqual(cold, wantCold) || !reflect.DeepEqual(warm, wantWarm) {
 		t.Fatalf("updates cold %v / warm %v, want %v / %v", cold, warm, wantCold, wantWarm)
 	}
 }
 
+// TestProgressReportsFailedRequest: under a cancelled context the planning
+// pass still sends every distinct cell, each request fails and reports
+// exactly one update carrying context.Canceled, and the render never
+// starts, so no request is memoised.
 func TestProgressReportsFailedRequest(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var updates []RunUpdate
+	var (
+		mu      sync.Mutex
+		updates []RunUpdate
+	)
 	_, err := RunExperimentContext(ctx, "fig2", ExperimentOpts{Workers: 1, Progress: func(u RunUpdate) {
+		mu.Lock()
 		updates = append(updates, u)
+		mu.Unlock()
 	}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// The first request fails and fails the lab; later requests never run.
-	if len(updates) != 1 || !errors.Is(updates[0].Err, context.Canceled) {
-		t.Fatalf("updates = %+v, want one failed request", updates)
+	labels := map[string]bool{}
+	for _, u := range updates {
+		if !errors.Is(u.Err, context.Canceled) || u.Source == "memoised" {
+			t.Errorf("update %+v, want a failed request of the planning pass", u)
+		}
+		labels[u.Label] = true
+	}
+	// The same cells planned on a lab of their own: one failure each.
+	lab := experiments.NewLab(experiments.Scaled(0), experiments.WithContext(ctx), experiments.WithWorkers(1))
+	e, err := experiments.ByID("fig2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = experiments.Prewarm(lab, e)
+	cells := lab.Orchestrator().Stats().Failed
+	if cells < 2 || uint64(len(updates)) != cells || len(labels) != len(updates) {
+		t.Fatalf("%d updates over %d labels, want one per distinct cell (%d)", len(updates), len(labels), cells)
 	}
 }
 

@@ -73,10 +73,7 @@ func buildPolicy(spec *rl.PolicySpec, p Params, h Hyper, seed uint64) rl.Policy 
 		return rl.NewAgent(rl.NewQTable(p.QStates, 2), h.Alpha, h.Gamma, h.Epsilon, seed)
 	}
 	sp := *spec
-	if sp.Frozen == nil && (sp.Kind == rl.KindTabular || sp.Kind == "") {
-		if sp.Kind == "" {
-			sp.Kind = rl.KindTabular
-		}
+	if sp.Kind == rl.KindTabular {
 		if sp.States == 0 {
 			sp.States = p.QStates
 		}
@@ -168,16 +165,6 @@ func (p *DataPredictor) RegisterMetrics(s *telemetry.Scope) {
 	p.policy.RegisterMetrics(s.Scope("agent"))
 }
 
-// Policy exposes the underlying decision engine (for freezing, snapshots,
-// and the offline training loop).
-func (p *DataPredictor) Policy() rl.Policy { return p.policy }
-
-// AttachRecorder tees every future Learn transition to sink — the hook the
-// transition-log dump and in-process trainers use.
-func (p *DataPredictor) AttachRecorder(sink func(rl.Transition)) {
-	p.policy = rl.WithRecorder(p.policy, sink)
-}
-
 // Table exposes the Q-table when the policy is tabular (for quantization
 // studies and tests); nil for other policy kinds.
 func (p *DataPredictor) Table() *rl.QTable {
@@ -228,14 +215,6 @@ func NewLocalityPredictor(p Params) *LocalityPredictor {
 
 // CET exposes the evaluation table (for the Fig 9 sweep).
 func (p *LocalityPredictor) CET() *CET { return p.cet }
-
-// Policy exposes the underlying decision engine.
-func (p *LocalityPredictor) Policy() rl.Policy { return p.policy }
-
-// AttachRecorder tees every future Learn transition to sink.
-func (p *LocalityPredictor) AttachRecorder(sink func(rl.Transition)) {
-	p.policy = rl.WithRecorder(p.policy, sink)
-}
 
 // Table exposes the Q-table when the policy is tabular; nil otherwise.
 func (p *LocalityPredictor) Table() *rl.QTable {

@@ -194,9 +194,6 @@ func (l *Lab) fail(err error) {
 	l.mu.Unlock()
 }
 
-// canceled reports whether the lab's context has ended.
-func (l *Lab) canceled() bool { return l.ctx.Err() != nil }
-
 // runOpts tweaks one simulation beyond the design defaults.
 type runOpts struct {
 	cores     int
@@ -230,18 +227,18 @@ func (l *Lab) spec(workload string, design secmem.Design, opt runOpts) runner.Sp
 		Seed:        l.Scale.Seed,
 	}
 	if l.dataPolicy != nil || l.ctrPolicy != nil {
-		spec = l.withPolicies(spec, l.dataPolicy, l.ctrPolicy)
+		spec = l.withPolicies(spec)
 	}
 	return spec
 }
 
-// withPolicies rewrites a spec to carry explicit policy selections: the
+// withPolicies rewrites a spec to carry the lab's policy selections: the
 // machine configuration the runner would derive implicitly is materialised
 // (so the policies have a Params to live in) and the label records the
 // policy kinds. Leaving both policies nil would still change the hash —
 // Config non-nil is a different spec — which is why spec() only calls this
 // when a policy is actually set.
-func (l *Lab) withPolicies(spec runner.Spec, data, ctr *rl.PolicySpec) runner.Spec {
+func (l *Lab) withPolicies(spec runner.Spec) runner.Spec {
 	var cfg sim.Config
 	if spec.Cores == 8 {
 		cfg = sim.EightCore()
@@ -251,25 +248,21 @@ func (l *Lab) withPolicies(spec runner.Spec, data, ctr *rl.PolicySpec) runner.Sp
 	}
 	cfg.MC.Seed = spec.Seed
 	cfg.MC.Params.Seed = spec.Seed
-	cfg.MC.Params.DataPolicy = data
-	cfg.MC.Params.CtrPolicy = ctr
+	cfg.MC.Params.DataPolicy = l.dataPolicy
+	cfg.MC.Params.CtrPolicy = l.ctrPolicy
 	spec.Config = &cfg
-	spec.Label = spec.Workload + "_" + spec.Design.Name + "_pol-" + policyTag(data, ctr)
+	spec.Label = spec.Workload + "_" + spec.Design.Name + "_pol-" + policyTag(l.dataPolicy, l.ctrPolicy)
 	return spec
 }
 
-// policyTag summarises a policy pair for labels: kind names, "frozen:<kind>"
-// for frozen deployments, "-" for a defaulted role.
+// policyTag summarises a policy pair for labels: kind names, "-" for a
+// defaulted role.
 func policyTag(data, ctr *rl.PolicySpec) string {
 	one := func(sp *rl.PolicySpec) string {
-		switch {
-		case sp == nil:
+		if sp == nil {
 			return "-"
-		case sp.Frozen != nil:
-			return "frozen." + sp.Frozen.Kind
-		default:
-			return sp.Kind
 		}
+		return sp.Kind
 	}
 	return one(data) + "." + one(ctr)
 }
@@ -389,7 +382,6 @@ func All() []Experiment {
 		{"abl-hyper", "Ablation: hyper-parameter sensitivity around Table 1", AblHyper},
 		{"tab-power", "Area and power accounting (§4.6)", TabPower},
 		{"ext-epc", "Extension: SGXv1-style secure-region sweep", ExtEPC},
-		{"policy-matrix", "Policy zoo: train-on-A / serve-on-B generalization matrix", PolicyMatrix},
 	}
 }
 

@@ -15,8 +15,7 @@ type Agent struct {
 	Gamma   float64
 	Epsilon float64
 
-	rng    *Rand
-	frozen bool
+	rng *Rand
 
 	// Explorations counts how many actions were chosen randomly rather
 	// than greedily — exposed for the effectiveness studies (§6.1.2).
@@ -57,12 +56,8 @@ func (ag *Agent) ActState(s int) int {
 }
 
 // Learn applies the TD update with the agent's α and γ. t.Next is the
-// bootstrap value from the successor state (see QTable.Update). Frozen
-// agents ignore it.
+// bootstrap value from the successor state (see QTable.Update).
 func (ag *Agent) Learn(t Transition) {
-	if ag.frozen {
-		return
-	}
 	ag.Table.Update(t.State, t.Action, t.Reward, t.Next, ag.Alpha, ag.Gamma)
 }
 
@@ -77,26 +72,6 @@ func (ag *Agent) Score(_ uint64, state, action int) uint8 {
 	return ag.Table.Score(state, action)
 }
 
-// Freeze disables learning and exploration: the agent becomes a pure greedy
-// function of its current table. ε is forced to 0 so the exploration rng is
-// no longer consumed.
-func (ag *Agent) Freeze() {
-	ag.frozen = true
-	ag.Epsilon = 0
-}
-
-// Frozen reports whether Freeze was called.
-func (ag *Agent) Frozen() bool { return ag.frozen }
-
-// Reset zeroes the Q-table. Frozen agents keep their weights — a frozen
-// policy models a ROM deployment.
-func (ag *Agent) Reset() {
-	if ag.frozen {
-		return
-	}
-	ag.Table.Reset()
-}
-
 // StorageBits reports the table's hardware cost.
 func (ag *Agent) StorageBits() int { return ag.Table.StorageBits() }
 
@@ -108,8 +83,7 @@ func (ag *Agent) Snapshot() Snapshot {
 		w = appendFloat64(w, v)
 	}
 	return Snapshot{
-		Version: SnapshotVersion,
-		Kind:    KindTabular,
+		Kind: KindTabular,
 		Meta: SnapshotMeta{
 			States:  t.states,
 			Actions: t.actions,
@@ -124,9 +98,6 @@ func (ag *Agent) Snapshot() Snapshot {
 // Restore loads a tabular snapshot produced by Snapshot, replacing the
 // agent's table and hyper-parameters.
 func (ag *Agent) Restore(sn Snapshot) error {
-	if err := sn.validate(); err != nil {
-		return err
-	}
 	if sn.Kind != KindTabular {
 		return fmt.Errorf("rl: cannot restore %q snapshot into tabular agent", sn.Kind)
 	}

@@ -21,8 +21,6 @@ type refPolicy interface {
 	learn(t Transition)
 	value(key uint64, action int) float64
 	score(key uint64, action int) uint8
-	freeze()
-	reset()
 	restore(sn Snapshot) error
 	weights() []byte
 	counters() (decisions, updates uint64)
@@ -32,7 +30,6 @@ type refMLP struct {
 	inputs, hidden int
 	seed           uint64
 	w1, b1, w2, b2 []int16
-	frozen         bool
 	decisions      uint64
 	updates        uint64
 	x              []int8
@@ -125,7 +122,7 @@ func (m *refMLP) act(key uint64) Decision {
 }
 
 func (m *refMLP) learn(t Transition) {
-	if m.frozen || t.Reward == 0 {
+	if t.Reward == 0 {
 		return
 	}
 	want := t.Action
@@ -194,14 +191,6 @@ func (m *refMLP) score(key uint64, action int) uint8 {
 	return uint8(v)
 }
 
-func (m *refMLP) freeze() { m.frozen = true }
-
-func (m *refMLP) reset() {
-	if !m.frozen {
-		m.init()
-	}
-}
-
 // restore loads a snapshot, rejecting (and leaving the model untouched)
 // one whose first layer holds a weight learning could never reach.
 func (m *refMLP) restore(sn Snapshot) error {
@@ -210,7 +199,7 @@ func (m *refMLP) restore(sn Snapshot) error {
 			return fmt.Errorf("reference mlp: w1 weight %d = %d out of range", k, w)
 		}
 	}
-	m.inputs, m.hidden, m.seed = sn.Meta.Inputs, sn.Meta.Hidden, sn.Meta.Seed
+	m.inputs, m.hidden = sn.Meta.Inputs, sn.Meta.Hidden
 	m.alloc()
 	k := 0
 	for _, layer := range [][]int16{m.w1, m.b1, m.w2, m.b2} {
@@ -238,7 +227,6 @@ type refPerceptron struct {
 	features, buckets int
 	theta             int32
 	w                 []int16
-	frozen            bool
 	decisions         uint64
 	updates           uint64
 }
@@ -267,7 +255,7 @@ func (pc *refPerceptron) act(key uint64) Decision {
 }
 
 func (pc *refPerceptron) learn(t Transition) {
-	if pc.frozen || t.Reward == 0 {
+	if t.Reward == 0 {
 		return
 	}
 	want := t.Action
@@ -311,14 +299,6 @@ func (pc *refPerceptron) score(key uint64, _ int) uint8 {
 		v = 255
 	}
 	return uint8(v)
-}
-
-func (pc *refPerceptron) freeze() { pc.frozen = true }
-
-func (pc *refPerceptron) reset() {
-	if !pc.frozen {
-		clear(pc.w)
-	}
 }
 
 func (pc *refPerceptron) restore(sn Snapshot) error {
@@ -391,7 +371,7 @@ func runMemoSequence(t *testing.T, data []byte) {
 		key := keys[int(b>>4)%nk]
 		action := int(b>>7) & 1
 		switch op := b & 15; op {
-		case 0, 1, 2:
+		case 0, 1, 2, 10, 14:
 			if got, want := p.Act(key), ref.act(key); got != want {
 				t.Fatalf("call %d: Act(%#x) = %+v, reference %+v", n, key, got, want)
 			}
@@ -416,9 +396,6 @@ func runMemoSequence(t *testing.T, data []byte) {
 			}
 			p.Learn(tr)
 			ref.learn(tr)
-		case 10:
-			p.Reset()
-			ref.reset()
 		case 11:
 			sn := p.Snapshot()
 			saved = &sn
@@ -438,13 +415,6 @@ func runMemoSequence(t *testing.T, data []byte) {
 		case 13:
 			if got, want := p.Snapshot().Weights, ref.weights(); !bytes.Equal(got, want) {
 				t.Fatalf("call %d: snapshot weights diverged from reference", n)
-			}
-		case 14:
-			if b>>4 == 15 {
-				p.Freeze()
-				ref.freeze()
-			} else if got, want := p.Act(key), ref.act(key); got != want {
-				t.Fatalf("call %d: Act(%#x) = %+v, reference %+v", n, key, got, want)
 			}
 		}
 		dec, upd := ref.counters()
@@ -476,8 +446,8 @@ func saturated(sn Snapshot) Snapshot {
 
 // memoCorpus is FuzzPolicyMemo's seed corpus: every MLP shape and both
 // perceptron shapes, each with a short hand-written sequence and long
-// pseudo-random ones that interleave every operation, saturate the weights
-// (0xfc at call 990) and, in one of them, freeze the policy late.
+// pseudo-random ones that interleave every operation and saturate the
+// weights (0xfc at call 990).
 func memoCorpus() [][]byte {
 	var corpus [][]byte
 	for shape := byte(0); shape < 32; shape++ {
@@ -490,15 +460,12 @@ func memoCorpus() [][]byte {
 			seq := []byte{shape, keys}
 			for len(seq) < 4000 {
 				b := byte(rng.Uint64())
-				if b == 0xfe || b == 0xfc { // freeze and saturate only where placed below
+				if b == 0xfc { // saturate only where placed below
 					b = 0xee
 				}
 				seq = append(seq, b)
 			}
 			seq[1000] = 0xfc
-			if keys == 1 {
-				seq[3000] = 0xfe
-			}
 			corpus = append(corpus, seq)
 		}
 	}
@@ -518,7 +485,7 @@ func FuzzPolicyMemo(f *testing.F) {
 // its seeded weights and from saturated ones (where most first-layer steps
 // run into ±127 and must be held), and requires its snapshot bytes to equal
 // the reference's int16 stream of w1 ([hidden][inputs]), b1, w2 and b2: the
-// packed first layer leaves the cosmos-policy-v1 weight format unchanged.
+// packed first layer leaves the snapshot weight stream unchanged.
 func TestMLPSnapshotMatchesReference(t *testing.T) {
 	for _, hidden := range memoHidden {
 		for _, inputs := range memoInputs {

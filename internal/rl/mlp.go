@@ -48,7 +48,6 @@ const (
 type MLP struct {
 	inputs int
 	hidden int
-	seed   uint64
 	// w1 is the first layer, column-major in byte lanes: word k·inputs+i
 	// holds hidden units 8k..8k+7's weights on input i, unit 8k+l in byte
 	// l as w+laneBias. The units are padded to a multiple of 8 with units
@@ -56,10 +55,9 @@ type MLP struct {
 	// leaves it at zero.
 	w1 []uint64
 	// The other parameters, all clamped to ±mlpWeightMax and padded like w1:
-	b1     []int16 // [unit]
-	w2     []int16 // [action][unit]
-	b2     []int16 // [action]
-	frozen bool
+	b1 []int16 // [unit]
+	w2 []int16 // [action][unit]
+	b2 []int16 // [action]
 
 	Decisions uint64
 	Updates   uint64
@@ -106,9 +104,9 @@ func NewMLP(inputs, hidden int, seed uint64) *MLP {
 	if inputs < 0 || hidden < 0 {
 		panic(fmt.Sprintf("rl: mlp dimensions must be positive, got inputs=%d hidden=%d", inputs, hidden))
 	}
-	m := &MLP{inputs: inputs, hidden: hidden, seed: seed}
+	m := &MLP{inputs: inputs, hidden: hidden}
 	m.alloc()
-	m.init()
+	m.init(seed)
 	return m
 }
 
@@ -151,21 +149,17 @@ func (m *MLP) setWeight(j, i int, w int16) {
 	*p = *p&^(0xff<<sh) | uint64(w+laneBias)<<sh
 }
 
-// init fills the first layer with small seeded weights in [-8, 7] (the
-// second layer starts at zero, so an untrained MLP is unbiased between
-// actions and ties break toward action 0).
-func (m *MLP) init() {
-	s := m.seed ^ 0x3117a9e5b1c60000
+// init fills the freshly allocated first layer with small weights in
+// [-8, 7] drawn from seed (the second layer starts at zero, so an untrained
+// MLP is unbiased between actions and ties break toward action 0).
+func (m *MLP) init(seed uint64) {
+	s := seed ^ 0x3117a9e5b1c60000
 	for j := 0; j < m.hidden; j++ {
 		for i := 0; i < m.inputs; i++ {
 			s += 0x9e3779b97f4a7c15
 			m.setWeight(j, i, int16(SplitMix64(s)&15)-8)
 		}
 	}
-	clear(m.b1)
-	clear(m.w2)
-	clear(m.b2)
-	m.ver++
 }
 
 // mlpFeatures sets neg to key's feature signs. Input i is ±1 from a salted
@@ -350,7 +344,7 @@ func (m *MLP) Act(key uint64) Decision {
 // over the first layer re-evaluates the learned key at the new weights, so
 // the call that follows is a memo hit.
 func (m *MLP) Learn(t Transition) {
-	if m.frozen || t.Reward == 0 {
+	if t.Reward == 0 {
 		return
 	}
 	want := t.Action
@@ -434,20 +428,6 @@ func (m *MLP) Score(key uint64, _, action int) uint8 {
 	return uint8(v)
 }
 
-// Freeze disables learning.
-func (m *MLP) Freeze() { m.frozen = true }
-
-// Frozen reports whether Freeze was called.
-func (m *MLP) Frozen() bool { return m.frozen }
-
-// Reset re-initialises the weights from the seed unless frozen.
-func (m *MLP) Reset() {
-	if m.frozen {
-		return
-	}
-	m.init()
-}
-
 // StorageBits reports the parameter cost at 16 bits per weight/bias.
 func (m *MLP) StorageBits() int {
 	return (m.hidden*m.inputs + m.hidden + mlpActions*m.hidden + mlpActions) * 16
@@ -471,13 +451,8 @@ func (m *MLP) Snapshot() Snapshot {
 		}
 	}
 	return Snapshot{
-		Version: SnapshotVersion,
 		Kind:    KindMLP,
-		Meta: SnapshotMeta{
-			Inputs: m.inputs,
-			Hidden: m.hidden,
-			Seed:   m.seed,
-		},
+		Meta:    SnapshotMeta{Inputs: m.inputs, Hidden: m.hidden},
 		Weights: w,
 	}
 }
@@ -485,9 +460,6 @@ func (m *MLP) Snapshot() Snapshot {
 // Restore loads an MLP snapshot. First-layer weights must lie within
 // ±mlpWeightMax, the range learning keeps them in.
 func (m *MLP) Restore(sn Snapshot) error {
-	if err := sn.validate(); err != nil {
-		return err
-	}
 	if sn.Kind != KindMLP {
 		return fmt.Errorf("rl: cannot restore %q snapshot into mlp", sn.Kind)
 	}
@@ -505,7 +477,7 @@ func (m *MLP) Restore(sn Snapshot) error {
 				k/inputs, k%inputs, w, mlpWeightMax)
 		}
 	}
-	m.inputs, m.hidden, m.seed = inputs, hidden, sn.Meta.Seed
+	m.inputs, m.hidden = inputs, hidden
 	m.alloc()
 	k := 0
 	for j := 0; j < hidden; j++ {

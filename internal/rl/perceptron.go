@@ -25,14 +25,12 @@ const (
 // integer-only and platform-independent.
 //
 // There is no exploration and no randomness: a perceptron with the same
-// weights always makes the same decisions, which is what makes frozen
-// deployments bit-reproducible.
+// weights always makes the same decisions.
 type Perceptron struct {
 	features int
 	buckets  int
 	theta    int32
 	w        []int16 // row-major [feature][bucket]
-	frozen   bool
 
 	Decisions uint64
 	Updates   uint64
@@ -158,7 +156,7 @@ func (pc *Perceptron) Act(key uint64) Decision {
 // the opposite one (the predictors' reward tables are strictly
 // positive-for-correct / negative-for-wrong, so the sign is the label).
 func (pc *Perceptron) Learn(t Transition) {
-	if pc.frozen || t.Reward == 0 {
+	if t.Reward == 0 {
 		return
 	}
 	// Desired action: the taken one if rewarded, its complement if punished.
@@ -206,21 +204,6 @@ func (pc *Perceptron) Score(key uint64, _, _ int) uint8 {
 	return uint8(v)
 }
 
-// Freeze disables learning.
-func (pc *Perceptron) Freeze() { pc.frozen = true }
-
-// Frozen reports whether Freeze was called.
-func (pc *Perceptron) Frozen() bool { return pc.frozen }
-
-// Reset zeroes the weights unless frozen.
-func (pc *Perceptron) Reset() {
-	if pc.frozen {
-		return
-	}
-	clear(pc.w)
-	pc.ver++
-}
-
 // StorageBits reports the weight tables' hardware cost (16 bits/weight).
 func (pc *Perceptron) StorageBits() int { return len(pc.w) * 16 }
 
@@ -234,8 +217,7 @@ func (pc *Perceptron) Snapshot() Snapshot {
 		w = appendInt16(w, v)
 	}
 	return Snapshot{
-		Version: SnapshotVersion,
-		Kind:    KindPerceptron,
+		Kind: KindPerceptron,
 		Meta: SnapshotMeta{
 			Features: pc.features,
 			Buckets:  pc.buckets,
@@ -247,9 +229,6 @@ func (pc *Perceptron) Snapshot() Snapshot {
 
 // Restore loads a perceptron snapshot.
 func (pc *Perceptron) Restore(sn Snapshot) error {
-	if err := sn.validate(); err != nil {
-		return err
-	}
 	if sn.Kind != KindPerceptron {
 		return fmt.Errorf("rl: cannot restore %q snapshot into perceptron", sn.Kind)
 	}

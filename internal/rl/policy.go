@@ -30,7 +30,7 @@ type Policy interface {
 	// Act returns the decision for a key: the derived state index (what the
 	// CET records) and the chosen action.
 	Act(key uint64) Decision
-	// Learn applies one transition. Frozen policies ignore it.
+	// Learn applies one transition.
 	Learn(t Transition)
 	// Value returns the policy's estimate for (key, state, action) — the
 	// bootstrap term the predictors feed back into later transitions.
@@ -38,18 +38,9 @@ type Policy interface {
 	// Score maps the decision's confidence onto the unsigned 8-bit scale the
 	// LCR-CTR cache stores per line (128 = neutral).
 	Score(key uint64, state, action int) uint8
-	// Freeze permanently disables learning and exploration: the policy
-	// becomes a pure deterministic function of the key.
-	Freeze()
-	// Frozen reports whether Freeze was called (or the policy was built from
-	// a frozen snapshot).
-	Frozen() bool
-	// Reset discards all learned weights. Frozen policies keep their
-	// weights — a frozen policy models a ROM/fuse deployment, not volatile
-	// state.
-	Reset()
-	// Snapshot serialises the policy into the versioned cosmos-policy-v1
-	// form; Restore loads one previously produced by the same kind.
+	// Snapshot copies out the policy's shape and weights; Restore loads one
+	// previously produced by the same kind. The differential tests compare
+	// packed weights with their reference models through them.
 	Snapshot() Snapshot
 	Restore(sn Snapshot) error
 	// StorageBits reports the hardware cost of the policy's state in bits,
@@ -70,14 +61,13 @@ type Decision struct {
 }
 
 // Transition is one learning sample: the key and decision it grades, the
-// scalar reward, and the bootstrap value of the successor decision. It is
-// the unit the offline trainer (internal/policytrain) replays.
+// scalar reward, and the bootstrap value of the successor decision.
 type Transition struct {
-	Key    uint64  `json:"key"`
-	State  int     `json:"state"`
-	Action int     `json:"action"`
-	Reward float64 `json:"reward"`
-	Next   float64 `json:"next"`
+	Key    uint64
+	State  int
+	Action int
+	Reward float64
+	Next   float64
 }
 
 // Policy kind names.
@@ -113,8 +103,7 @@ func PolicyKindDescriptions() []struct{ Kind, Desc string } {
 type PolicySpec struct {
 	Kind string `json:"kind"`
 
-	// Tabular hyper-parameters (also the trainer's TD parameters when a
-	// tabular policy is trained offline).
+	// Tabular hyper-parameters.
 	Alpha   float64 `json:"alpha,omitempty"`
 	Gamma   float64 `json:"gamma,omitempty"`
 	Epsilon float64 `json:"epsilon,omitempty"`
@@ -130,13 +119,6 @@ type PolicySpec struct {
 	// MLP shape: Inputs hashed input features, Hidden units.
 	Inputs int `json:"inputs,omitempty"`
 	Hidden int `json:"hidden,omitempty"`
-
-	// Frozen, when non-nil, deploys the inlined snapshot instead of a
-	// freshly initialised policy: the policy is restored from it and frozen.
-	// Inlining (rather than referencing a file path) keeps specs
-	// self-contained, so the runner's content hash covers the exact weights
-	// a run decided with.
-	Frozen *Snapshot `json:"frozen,omitempty"`
 }
 
 // Validate rejects specs NewPolicy cannot build, with errors naming the
@@ -149,10 +131,8 @@ func (sp *PolicySpec) Validate() error {
 	switch sp.Kind {
 	case KindTabular, KindPerceptron, KindMLP:
 	case "":
-		if sp.Frozen == nil {
-			return fmt.Errorf("rl: policy spec has empty kind (valid: %s)",
-				strings.Join(PolicyKinds(), ", "))
-		}
+		return fmt.Errorf("rl: policy spec has empty kind (valid: %s)",
+			strings.Join(PolicyKinds(), ", "))
 	default:
 		return fmt.Errorf("rl: unknown policy kind %q (valid: %s)",
 			sp.Kind, strings.Join(PolicyKinds(), ", "))
@@ -174,33 +154,15 @@ func (sp *PolicySpec) Validate() error {
 			return fmt.Errorf("rl: policy %s %d must not be negative", f.name, f.v)
 		}
 	}
-	if sp.Frozen != nil {
-		if err := sp.Frozen.validate(); err != nil {
-			return err
-		}
-		if sp.Kind != "" && sp.Kind != sp.Frozen.Kind {
-			return fmt.Errorf("rl: policy kind %q does not match frozen snapshot kind %q",
-				sp.Kind, sp.Frozen.Kind)
-		}
-	}
 	return nil
 }
 
 // NewPolicy builds the policy a spec describes. seed feeds the kind's
 // deterministic initialisation (exploration stream for tabular, weight
-// init for the MLP). A spec carrying a Frozen snapshot restores it and
-// returns the policy frozen.
+// init for the MLP).
 func NewPolicy(sp PolicySpec, seed uint64) (Policy, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
-	}
-	if sp.Frozen != nil {
-		p, err := FromSnapshot(*sp.Frozen)
-		if err != nil {
-			return nil, err
-		}
-		p.Freeze()
-		return p, nil
 	}
 	switch sp.Kind {
 	case KindTabular:

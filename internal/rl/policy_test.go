@@ -1,9 +1,6 @@
 package rl
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -62,37 +59,37 @@ func TestPolicyKindsComplete(t *testing.T) {
 }
 
 func TestPolicyRoundTripGolden(t *testing.T) {
-	// Train each kind, snapshot, restore into a fresh policy, and require
-	// identical frozen decisions on a probe set — the round-trip golden.
+	// Train each kind, snapshot, restore into a fresh policy of the same
+	// kind, and require the same snapshot back and identical deterministic
+	// outputs on a probe set — the round-trip golden.
 	for name, p := range allKinds(t) {
 		t.Run(name, func(t *testing.T) {
 			trainFor(p, 5000)
 			sn := p.Snapshot()
-			if sn.Version != SnapshotVersion || sn.Kind != name {
-				t.Fatalf("snapshot header = %q/%q", sn.Version, sn.Kind)
+			if sn.Kind != name {
+				t.Fatalf("snapshot kind = %q", sn.Kind)
 			}
-			b, err := json.Marshal(sn)
-			if err != nil {
+			q := allKinds(t)[name]
+			if err := q.Restore(sn); err != nil {
 				t.Fatal(err)
 			}
-			sn2, err := DecodeSnapshot(b)
-			if err != nil {
-				t.Fatal(err)
+			if !reflect.DeepEqual(q.Snapshot(), sn) {
+				t.Fatal("restored policy snapshots differently")
 			}
-			q, err := FromSnapshot(sn2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.Freeze()
-			q.Freeze()
 			rng := NewRand(99)
 			for i := 0; i < 2000; i++ {
 				key := rng.Uint64() &^ 63
-				if got, want := q.Act(key), p.Act(key); got != want {
-					t.Fatalf("restored %s diverged at key %#x: %v vs %v", name, key, got, want)
+				state := p.Act(key).State
+				if got := q.Act(key).State; got != state {
+					t.Fatalf("restored %s state diverged at key %#x: %d vs %d", name, key, got, state)
 				}
-				if got, want := q.Score(key, 0, 0), p.Score(key, 0, 0); got != want {
-					t.Fatalf("restored %s score diverged at key %#x", name, key)
+				for a := 0; a < 2; a++ {
+					if got, want := q.Value(key, state, a), p.Value(key, state, a); got != want {
+						t.Fatalf("restored %s value diverged at key %#x", name, key)
+					}
+					if got, want := q.Score(key, state, a), p.Score(key, state, a); got != want {
+						t.Fatalf("restored %s score diverged at key %#x", name, key)
+					}
 				}
 			}
 			if q.StorageBits() != p.StorageBits() {
@@ -102,39 +99,16 @@ func TestPolicyRoundTripGolden(t *testing.T) {
 	}
 }
 
-func TestPolicyFileSaveLoad(t *testing.T) {
-	dir := t.TempDir()
-	for name, p := range allKinds(t) {
-		trainFor(p, 2000)
-		path := filepath.Join(dir, name+".json")
-		if err := SavePolicy(path, p, "ctr"); err != nil {
-			t.Fatal(err)
-		}
-		sn, err := LoadSnapshot(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sn.Meta.Role != "ctr" {
-			t.Errorf("%s: role not stamped, got %q", name, sn.Meta.Role)
-		}
-		q, err := LoadPolicy(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q.Kind() != name {
-			t.Errorf("loaded kind %q, want %q", q.Kind(), name)
-		}
-	}
-}
-
 func TestPolicySpecValidate(t *testing.T) {
 	var nilSpec *PolicySpec
 	if err := nilSpec.Validate(); err != nil {
 		t.Errorf("nil spec must validate: %v", err)
 	}
-	err := (&PolicySpec{Kind: "transformer"}).Validate()
-	if err == nil || !strings.Contains(err.Error(), "tabular, perceptron, mlp") {
-		t.Errorf("unknown kind error should list valid kinds, got %v", err)
+	for _, kind := range []string{"transformer", ""} {
+		err := (&PolicySpec{Kind: kind}).Validate()
+		if err == nil || !strings.Contains(err.Error(), "tabular, perceptron, mlp") {
+			t.Errorf("kind %q: error should list valid kinds, got %v", kind, err)
+		}
 	}
 	if err := (&PolicySpec{Kind: KindTabular, States: 1000}).Validate(); err == nil {
 		t.Error("non-power-of-two states must be rejected")
@@ -160,30 +134,6 @@ func TestPolicySpecValidate(t *testing.T) {
 		if _, err := NewPolicy(PolicySpec{Kind: k}, 1); err != nil {
 			t.Errorf("NewPolicy(%q): %v", k, err)
 		}
-	}
-}
-
-func TestNewPolicyFrozenSpec(t *testing.T) {
-	p := NewPerceptron(0, 0, 0)
-	trainFor(p, 3000)
-	sn := p.Snapshot()
-	q, err := NewPolicy(PolicySpec{Frozen: &sn}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !q.Frozen() {
-		t.Fatal("policy from frozen spec must be frozen")
-	}
-	// Learning must be inert and Reset must not clear weights.
-	before := q.Act(1 << 12)
-	q.Learn(Transition{Key: 1 << 12, Action: before.Action, Reward: -100})
-	q.Reset()
-	if after := q.Act(1 << 12); after != before {
-		t.Error("frozen policy changed behaviour after Learn/Reset")
-	}
-	// Kind mismatch between spec and snapshot is rejected.
-	if _, err := NewPolicy(PolicySpec{Kind: KindMLP, Frozen: &sn}, 0); err == nil {
-		t.Error("kind/snapshot mismatch must be rejected")
 	}
 }
 
@@ -217,85 +167,28 @@ func TestPolicyDeterminismAcrossInstances(t *testing.T) {
 	}
 }
 
-func TestRecorderTees(t *testing.T) {
-	var got []Transition
-	p := WithRecorder(NewPerceptron(0, 0, 0), func(t Transition) { got = append(got, t) })
-	p.Learn(Transition{Key: 64, Action: 1, Reward: 5})
-	p.Learn(Transition{Key: 128, Action: 0, Reward: -5})
-	if len(got) != 2 || got[0].Key != 64 || got[1].Reward != -5 {
-		t.Fatalf("recorder saw %v", got)
+func TestRestoreRejectsMalformedSnapshot(t *testing.T) {
+	cases := map[string]Snapshot{
+		"wrong-kind": {Kind: KindPerceptron, Meta: SnapshotMeta{States: 64, Actions: 2}, Weights: make([]byte, 64*2*8)},
+		"truncated":  {Kind: KindMLP, Meta: SnapshotMeta{Inputs: 16, Hidden: 8}, Weights: make([]byte, 3)},
+		"bad-shape":  {Kind: KindTabular, Meta: SnapshotMeta{States: 1000, Actions: 2}},
+		"neg-shape":  {Kind: KindPerceptron, Meta: SnapshotMeta{Features: -1, Buckets: 64}},
+		"zero-shape": {Kind: KindMLP},
 	}
-	if p.Kind() != KindPerceptron {
-		t.Error("recorder must delegate Kind")
-	}
-}
-
-func TestLoadPolicyErrors(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, content string) string {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
+	for name, sn := range cases {
+		fresh := map[string]Policy{
+			KindTabular:    NewAgent(NewQTable(64, 2), 0, 0, 0, 0),
+			KindPerceptron: NewPerceptron(0, 0, 0),
+			KindMLP:        NewMLP(0, 0, 0),
 		}
-		return path
-	}
-	cases := map[string]string{
-		"garbage":    "not json at all {",
-		"wrong-ver":  `{"version":"cosmos-policy-v0","kind":"tabular","meta":{},"weights":""}`,
-		"bad-kind":   `{"version":"cosmos-policy-v1","kind":"transformer","meta":{},"weights":""}`,
-		"truncated":  `{"version":"cosmos-policy-v1","kind":"mlp","meta":{"inputs":16,"hidden":8},"weights":"AAAA"}`,
-		"bad-shape":  `{"version":"cosmos-policy-v1","kind":"tabular","meta":{"states":1000,"actions":2},"weights":""}`,
-		"neg-shape":  `{"version":"cosmos-policy-v1","kind":"perceptron","meta":{"features":-1,"buckets":64},"weights":""}`,
-		"zero-shape": `{"version":"cosmos-policy-v1","kind":"mlp","meta":{},"weights":""}`,
-	}
-	for name, content := range cases {
-		if _, err := LoadPolicy(write(name+".json", content)); err == nil {
-			t.Errorf("%s: LoadPolicy should error", name)
+		target := fresh[sn.Kind]
+		if name == "wrong-kind" {
+			target = fresh[KindTabular]
+		}
+		if err := target.Restore(sn); err == nil {
+			t.Errorf("%s: Restore should error", name)
 		}
 	}
-	if _, err := LoadPolicy(filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("missing file should error")
-	}
-}
-
-func FuzzLoadPolicy(f *testing.F) {
-	// Seed with a valid file of each kind plus assorted corruption.
-	for _, p := range []Policy{
-		NewAgent(NewQTable(64, 2), 0.1, 0.5, 0, 1),
-		NewPerceptron(2, 64, 10),
-		NewMLP(4, 2, 1),
-	} {
-		b, err := json.Marshal(p.Snapshot())
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
-		f.Add(b[:len(b)/2])
-	}
-	f.Add([]byte(`{"version":"cosmos-policy-v1","kind":"tabular"}`))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`null`))
-	f.Add([]byte{0xff, 0xfe, 0x00})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Must never panic; on success the policy must be usable.
-		sn, err := DecodeSnapshot(data)
-		if err != nil {
-			return
-		}
-		p, err := FromSnapshot(sn)
-		if err != nil {
-			return
-		}
-		d := p.Act(0x1000)
-		if d.Action != 0 && d.Action != 1 {
-			t.Fatalf("action out of range: %d", d.Action)
-		}
-		p.Score(0x1000, d.State, d.Action)
-		rt := p.Snapshot()
-		if rt.Kind != sn.Kind {
-			t.Fatalf("round-trip kind changed: %q -> %q", sn.Kind, rt.Kind)
-		}
-	})
 }
 
 func TestAgentSnapshotPreservesTable(t *testing.T) {
@@ -311,31 +204,5 @@ func TestAgentSnapshotPreservesTable(t *testing.T) {
 	}
 	if ag2.Alpha != 0.2 || ag2.Gamma != 0.7 || ag2.Epsilon != 0.05 {
 		t.Errorf("hyper-parameters not restored: %+v", ag2)
-	}
-}
-
-func TestFreezeSemantics(t *testing.T) {
-	for name, p := range allKinds(t) {
-		trainFor(p, 2000)
-		p.Freeze()
-		if !p.Frozen() {
-			t.Errorf("%s: Frozen() false after Freeze", name)
-		}
-		if p.ExplorationRate() != 0 && name != KindTabular {
-			t.Errorf("%s: deterministic policy reports exploration", name)
-		}
-		before := p.Snapshot()
-		p.Learn(Transition{Key: 4096, Action: 0, Reward: 100})
-		p.Reset()
-		after := p.Snapshot()
-		if !reflect.DeepEqual(before.Weights, after.Weights) {
-			t.Errorf("%s: frozen weights changed after Learn/Reset", name)
-		}
-	}
-	// Tabular freeze zeroes ε so the rng is never consumed again.
-	ag := NewAgent(NewQTable(64, 2), 0.1, 0.5, 0.9, 1)
-	ag.Freeze()
-	if ag.Epsilon != 0 {
-		t.Error("freeze must zero ε")
 	}
 }

@@ -36,12 +36,6 @@ func (t *QTable) Q(s, a int) float64 { return t.q[s*t.actions+a] }
 // SetQ overwrites Q(s, a); used by tests and by table import.
 func (t *QTable) SetQ(s, a int, v float64) { t.q[s*t.actions+a] = v }
 
-// Reset zeroes every Q-value, discarding all learned state (a power-loss
-// model for unpersisted tables).
-func (t *QTable) Reset() {
-	clear(t.q)
-}
-
 // Best returns the greedy action for state s and its Q-value. Ties break
 // toward the lower-numbered action, which keeps behaviour deterministic.
 func (t *QTable) Best(s int) (action int, q float64) {

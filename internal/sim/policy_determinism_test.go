@@ -32,39 +32,10 @@ func policyRun(t *testing.T, data, ctr *rl.PolicySpec) Results {
 	return s.Run(trace.Limit(gen, 150000), 150000)
 }
 
-// frozenSpec trains nothing: a freshly initialised policy frozen as-is is
-// enough to pin the deploy path — determinism must not depend on what the
-// weights are.
-func frozenSpec(t *testing.T, kind string, seed uint64) *rl.PolicySpec {
-	t.Helper()
-	p, err := rl.NewPolicy(rl.PolicySpec{Kind: kind}, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sn := p.Snapshot()
-	return &rl.PolicySpec{Kind: kind, Frozen: &sn}
-}
-
-// TestFrozenPolicyDeterminism pins the policy zoo's core deployment
-// guarantee: a frozen perceptron/MLP pair produces bit-identical Results
-// across repeated runs.
-func TestFrozenPolicyDeterminism(t *testing.T) {
-	for _, kind := range []string{rl.KindPerceptron, rl.KindMLP} {
-		t.Run(kind, func(t *testing.T) {
-			data := frozenSpec(t, kind, 7)
-			ctr := frozenSpec(t, kind, 8)
-			base := policyRun(t, data, ctr)
-			if again := policyRun(t, data, ctr); !reflect.DeepEqual(again, base) {
-				t.Errorf("frozen %s drifted across runs:\n  %+v\nvs\n  %+v", kind, base, again)
-			}
-		})
-	}
-}
-
-// TestOnlinePolicyDeterminism covers the learning (unfrozen) perceptron and
-// MLP: both are exploration-free deterministic learners, so repeated runs
-// must also be bit-identical — seed-sensitivity is confined to the tabular
-// kind's ε-greedy stream.
+// TestOnlinePolicyDeterminism pins the policy zoo's core guarantee: the
+// learning perceptron and MLP are exploration-free deterministic learners,
+// so repeated runs are bit-identical — seed-sensitivity is confined to the
+// tabular kind's ε-greedy stream.
 func TestOnlinePolicyDeterminism(t *testing.T) {
 	for _, kind := range []string{rl.KindPerceptron, rl.KindMLP} {
 		t.Run(kind, func(t *testing.T) {
