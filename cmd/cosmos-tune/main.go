@@ -280,9 +280,25 @@ func tournament(ctx context.Context, logger *slog.Logger, o tournamentOpts) int 
 		return experiments.NewLab(sc, opts...)
 	}
 
+	// cellsOf plans design d on every workload. Prewarm runs a lab's cells
+	// in parallel from it, so the loop below, which reads them in order,
+	// finds them memoised.
+	cellsOf := func(d secmem.Design) experiments.Experiment {
+		return experiments.Experiment{ID: "tournament-" + d.Name, Gen: func(l *experiments.Lab) *stats.Table {
+			for _, wl := range o.workloads {
+				l.Run(wl, d)
+			}
+			return nil
+		}}
+	}
+
 	// The baseline lab (no policy option) provides NP cycles per workload; it
 	// shares the store, so baselines resume too.
 	baseline := newLab()
+	if err := experiments.Prewarm(baseline, cellsOf(secmem.DesignNP())); err != nil {
+		logger.Error("tournament aborted", "err", err)
+		return 1
+	}
 	type cell struct {
 		kind     string
 		workload string
@@ -305,6 +321,10 @@ func tournament(ctx context.Context, logger *slog.Logger, o tournamentOpts) int 
 		probe, err := rl.NewPolicy(*spec, o.seed)
 		if err != nil {
 			logger.Error("candidate", "kind", kind, "err", err)
+			return 1
+		}
+		if err := experiments.Prewarm(lab, cellsOf(secmem.DesignCosmos())); err != nil {
+			logger.Error("tournament aborted", "kind", kind, "err", err)
 			return 1
 		}
 		logmean := 0.0

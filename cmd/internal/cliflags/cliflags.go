@@ -120,7 +120,8 @@ func ListPolicies(w io.Writer) {
 
 // Apply resolves the parsed policy flags into the Params' per-role policy
 // specs. An unknown kind or role returns an error naming the valid
-// choices. No flags set leaves the Params untouched, so the nil-spec
+// choices, and -policy-role data or ctr without -policy one naming both
+// flags. No flags set leaves the Params untouched, so the nil-spec
 // hash-stability guarantee holds for every policy-free invocation.
 func (p *Policy) Apply(params *core.Params) error {
 	data, ctr, err := p.Specs()
@@ -138,7 +139,8 @@ func (p *Policy) Apply(params *core.Params) error {
 
 // Specs resolves the parsed policy flags into per-role policy specs (nil =
 // that role keeps the design default) — the form experiments.WithPolicy
-// consumes. Errors mirror Apply's.
+// consumes. Errors mirror Apply's; a -policy-role other than the default
+// without -policy is an error too, since it would select nothing.
 func (p *Policy) Specs() (data, ctr *rl.PolicySpec, err error) {
 	var dataRole, ctrRole bool
 	switch p.Role {
@@ -152,6 +154,9 @@ func (p *Policy) Specs() (data, ctr *rl.PolicySpec, err error) {
 		return nil, nil, fmt.Errorf("cliflags: unknown policy role %q (valid: data, ctr, both)", p.Role)
 	}
 	if p.Kind == "" {
+		if p.Role != "both" {
+			return nil, nil, fmt.Errorf("cliflags: -policy-role %s needs -policy", p.Role)
+		}
 		return nil, nil, nil
 	}
 	spec := &rl.PolicySpec{Kind: p.Kind}

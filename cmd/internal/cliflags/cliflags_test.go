@@ -57,7 +57,7 @@ func TestPolicySpecs(t *testing.T) {
 		wantErr   string // "" = valid
 	}{
 		{name: "no flags", args: nil},
-		{name: "role only", args: []string{"-policy-role", "ctr"}},
+		{name: "role only", args: []string{"-policy-role", "ctr"}, wantErr: "-policy-role ctr needs -policy"},
 		{name: "both roles", args: []string{"-policy", "mlp"}, data: "mlp", ctr: "mlp"},
 		{name: "explicit both", args: []string{"-policy", "perceptron", "-policy-role", "both"}, data: "perceptron", ctr: "perceptron"},
 		{name: "data role", args: []string{"-policy", "perceptron", "-policy-role", "data"}, data: "perceptron"},

@@ -75,8 +75,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: instr-per-access %d must be at least 1", c.InstrPerAccess)
 	}
 	specs := c.levelSpecs()
-	if len(specs) == 0 {
-		return fmt.Errorf("sim: empty level chain")
+	if len(specs) == 0 || len(specs) > 255 {
+		return fmt.Errorf("sim: %d levels, want 1 to 255", len(specs))
 	}
 	shared := false
 	for _, sp := range specs {
@@ -165,9 +165,10 @@ type System struct {
 	// chains[c] is core c's view of the on-chip hierarchy, top first:
 	// private levels are distinct per core, the tail from sharedFrom on is
 	// the same Level values in every chain. Each level's writeback link is
-	// wired to the next; the last level drains into the secure-memory
-	// terminal. The chains are held concretely so the step hot path probes
-	// them without interface dispatch.
+	// wired to the next; the last level drains into the victim log, whose
+	// lines the timing half replays into the secure-memory terminal. The
+	// chains are held concretely so the step hot path probes them without
+	// interface dispatch.
 	chains     [][]*cache.Level
 	specs      []LevelSpec
 	lats       []uint64 // specs[i].Lat, indexed like chains[c]
@@ -192,9 +193,9 @@ type System struct {
 	bypassed     uint64 // accesses that skipped the L2/LLC walk latency
 	fetchHist    telemetry.Histogram
 
-	// Attached observers (nil when off). Step touches only spans, at its
-	// entry and its single exit; RunContext consults the sampler and the
-	// phases once per block.
+	// Attached observers (nil when off). Step touches only spans, in the
+	// timing half's entry and its single exit; RunContext consults the
+	// sampler and the phases once per block.
 	sampler *telemetry.Sampler
 	phases  *telemetry.Phases
 	spans   *telemetry.SpanRecorder
@@ -205,6 +206,13 @@ type System struct {
 	// bank and channel availability) stays consistent across a warmup.
 	// It sits after the fields Step touches, leaving their layout as is.
 	cycleBase []uint64
+
+	// victims is the last on-chip level's writeback link, written by walk
+	// only; term is the secure-memory terminal the timing half replays the
+	// logged victims into; stepLog is Step's one-access walk log.
+	victims *victimLog
+	term    *secmem.Level
+	stepLog walkLog
 }
 
 // New builds a system for the given design point: the secure-memory
@@ -234,8 +242,11 @@ func New(cfg Config, design secmem.Design) *System {
 		return cache.NewLevel(cache.New(sp.Name, sp.Bytes, sp.Ways, cache.NewLRU()), sp.Lat, down)
 	}
 
-	// Shared tail, built once.
-	var down memsys.Level = secmem.NewLevel(s.mc)
+	// Shared tail, built once. The last level drains into the victim log;
+	// the timing half replays its lines into the secure-memory terminal.
+	s.victims = &victimLog{}
+	s.term = secmem.NewLevel(s.mc)
+	var down memsys.Level = s.victims
 	shared := make([]*cache.Level, len(s.specs)-s.sharedFrom)
 	for i := len(s.specs) - 1; i >= s.sharedFrom; i-- {
 		l := newLevel(s.specs[i], down)
@@ -271,6 +282,7 @@ func New(cfg Config, design secmem.Design) *System {
 	s.demand = make([]levelStats, len(s.specs))
 	s.threadCycles = make([]uint64, cfg.Cores)
 	s.cycleBase = make([]uint64, cfg.Cores)
+	s.stepLog = newWalkLog(1, len(s.specs))
 	return s
 }
 
@@ -336,93 +348,35 @@ func (s *System) AttachSpans(rec *telemetry.SpanRecorder) {
 }
 
 // AttachPhases enables wall-time attribution during RunContext: decode
-// (generator NextBlock), step (the simulator loop) and report (sampler
-// flush + Results assembly) wall time plus a simulated-access count
-// accumulate into p, which may be shared across systems (campaign-level
-// attribution). RunContext times each decode block once per phase, so the
-// access order, the Results and the per-step semantics are identical to an
-// unattributed run while the timing overhead stays at two clock reads per
+// (the caller's generator NextBlock calls), step (the caller's timing half,
+// including waits for the cache walk) and report (sampler flush + Results
+// assembly) wall time plus the count of timed accesses accumulate into p,
+// which may be shared across systems (campaign-level attribution).
+// RunContext times each block's decode and timing once, so the access
+// order, the Results and the per-step semantics are identical to an
+// unattributed run while the timing overhead stays at four clock reads per
 // block. Nil (the default) skips the clock reads.
 func (s *System) AttachPhases(p *telemetry.Phases) { s.phases = p }
 
-// phaseBlock is the decode-ahead block size of the serial run loop.
-const phaseBlock = 256
+// phaseBlock is the block size of RunContext's pipeline (the unit the
+// generator decodes, the worker walks and the caller times) and of
+// Warmup's decode-ahead.
+const phaseBlock = 1024
 
-// Step processes one access and returns its critical-path latency: walk the
-// core's level chain until a hit (writebacks cascade inside the levels),
-// and on an all-miss compose the off-chip fetch path and advance the thread
-// clock. The walk runs on concrete *cache.Level values via Probe — no
-// interface dispatch or Request/Response traffic on the hit path. An
-// attached span recorder is touched at two sites only: at entry, and once
-// in the shared exit.
+// Step processes one access and returns its critical-path latency. It is
+// the serial composition of the two halves RunContext overlaps (see
+// pipeline.go): walk probes the core's level chain until a hit (writebacks
+// cascade inside the levels, and the last level's dirty victims are
+// logged), then timeAccess replays the logged victims into the
+// secure-memory terminal, composes the off-chip fetch path on an all-miss
+// and advances the thread clock. The walk runs on concrete *cache.Level
+// values via Probe — no interface dispatch or Request/Response traffic on
+// the hit path. An attached span recorder is touched in the timing half
+// only: at its entry, and once in its shared exit.
 func (s *System) Step(a memsys.Access) uint64 {
-	c := int(a.Thread) % s.cfg.Cores
-	now := s.threadCycles[c]
-	write := a.Type == memsys.Write
-	line := a.Addr.Line()
-	chain := s.chains[c]
-
-	if s.spans != nil {
-		s.spans.MaybeBegin(s.accesses, c, line)
-	}
-	s.accesses++
-	if write {
-		s.writes++
-	} else {
-		s.reads++
-	}
-
-	// Top level: the only one that sees the store bit. missed counts the
-	// levels that missed; it reaches len(chain) when the access goes
-	// off-chip.
-	s.demand[0].accesses++
-	lat := s.l1Lat
-	missed := 0
-	var path fetchPath
-	if !chain[0].Probe(line, write, a.Region, c, now) {
-		s.demand[0].misses++
-		missed = 1
-
-		// Miss at the top: open the fetch plan (location prediction, early
-		// counter issue), then walk the lower levels.
-		plan := s.planFetch(c, now, line, a.Addr)
-		for ; missed < len(chain); missed++ {
-			i := missed
-			s.demand[i].accesses++
-			hit := chain[i].Probe(line, false, a.Region, c, now)
-			lat += s.lats[i]
-			if hit {
-				s.gradeOnChipHit(plan, now, a.Addr, write, i == len(chain)-1)
-				break
-			}
-			s.demand[i].misses++
-		}
-
-		if missed == len(chain) {
-			// Off-chip: resolve the plan into the timed fetch path.
-			path = s.composeFetch(c, now, line, a.Addr, plan)
-			fetchEnd := path.finish()
-			lat = s.l1Lat + fetchEnd
-			s.offChipReads++
-			s.fetchLatSum += fetchEnd
-			s.fetchHist.Observe(fetchEnd)
-			if path.predictedOff {
-				s.bypassed++
-			}
-		}
-	}
-
-	if s.spans != nil {
-		s.spans.LevelMisses(missed)
-		if missed == len(chain) {
-			s.spans.NoteFetch(s.l1Lat, path.walkLat, path.ctrStart(), path.ctrLat,
-				path.dataStart(), path.dataLat, lat-s.l1Lat,
-				path.secure, path.ctrHit, path.predictedOff)
-		}
-		s.spans.EndAccess(lat)
-	}
-	s.advance(c, write, a.Dep, lat)
-	return lat
+	acc := [1]memsys.Access{a}
+	s.walk(acc[:], &s.stepLog)
+	return s.timeAccess(a, s.stepLog.recs[0], s.stepLog.victims)
 }
 
 // advance applies the cycle cost of one access group to its thread: compute
@@ -496,80 +450,12 @@ func (s *System) Run(gen trace.Generator, maxAccesses uint64) Results {
 	return r
 }
 
-// CancelCheckEvery bounds the cancellation latency of RunContext: the
-// context is consulted at least once per this many steps (RunContext polls
-// once per decode block of phaseBlock accesses), so a cancellation lands
-// mid-simulation after at most this many additional accesses.
+// CancelCheckEvery bounds the cancellation latency of RunContext: it is
+// also the pipeline's in-flight bound (pipeDepth blocks of phaseBlock), and
+// the context is consulted once per timed block, so a cancellation lands
+// mid-simulation after at most this many additional accesses — the blocks
+// already handed to the worker are timed before RunContext returns.
 const CancelCheckEvery = 4096
-
-// RunContext is Run with cooperative cancellation and block decoding:
-// accesses are pulled from the generator a block at a time (through
-// trace.NextBlock) and stepped a block at a time. Workload generators are
-// pure streams — they never observe simulator state — so decoding up to a
-// block ahead cannot change the access sequence. The context is checked
-// once per block, and on cancellation the partial Results accumulated so
-// far are returned together with ctx.Err(); a Background (or otherwise
-// non-cancellable) context costs nothing — its nil Done channel skips the
-// poll entirely. A stream that failed rather than ended (trace.Err, e.g. a
-// damaged trace file) returns its error with the partial Results.
-func (s *System) RunContext(ctx context.Context, gen trace.Generator, maxAccesses uint64) (Results, error) {
-	defer trace.CloseIfCloser(gen)
-	done := ctx.Done()
-	timed := s.phases != nil
-	var t0, t1 time.Time
-	var buf [phaseBlock]memsys.Access
-	for s.accesses < maxAccesses {
-		want := maxAccesses - s.accesses
-		if want > phaseBlock {
-			want = phaseBlock
-		}
-		if s.sampler != nil {
-			// End the block on the sampler's next interval boundary, so one
-			// check per block still lands every row on an exact multiple.
-			iv := s.sampler.Interval()
-			if due := (s.accesses/iv+1)*iv - s.accesses; want > due {
-				want = due
-			}
-		}
-		if timed {
-			t0 = time.Now()
-		}
-		n := 0
-		for uint64(n) < want {
-			m := trace.NextBlock(gen, buf[n:want])
-			if m == 0 {
-				break
-			}
-			n += m
-		}
-		if timed {
-			t1 = time.Now()
-		}
-		for i := 0; i < n; i++ {
-			s.Step(buf[i])
-		}
-		if s.sampler != nil {
-			s.sampler.MaybeSample(s.accesses)
-		}
-		if timed {
-			t2 := time.Now()
-			s.phases.Add(telemetry.PhaseDecode, t1.Sub(t0))
-			s.phases.Add(telemetry.PhaseStep, t2.Sub(t1))
-			s.phases.AddAccesses(uint64(n))
-		}
-		if n == 0 {
-			break
-		}
-		if done != nil {
-			select {
-			case <-done:
-				return s.finishRun(gen.Name()), ctx.Err()
-			default:
-			}
-		}
-	}
-	return s.finishRun(gen.Name()), trace.Err(gen)
-}
 
 // finishRun flushes the sampler and assembles Results, booking the wall
 // time as the report phase when attribution is on.
