@@ -69,9 +69,8 @@ func run() int {
 		spanFlags  = cliflags.RegisterSpans(flag.CommandLine)
 		coordFlags = cliflags.RegisterCoord(flag.CommandLine)
 
-		statsOut   = flag.String("stats-out", "", "write per-interval metric time-series, one <workload>_<design>.jsonl (or .csv with -stats-csv) per simulation, into this directory")
+		statsOut   = flag.String("stats-out", "", "write per-interval metric time-series, one <workload>_<design>.jsonl per simulation, into this directory")
 		statsIvl   = flag.Uint64("stats-interval", 100_000, "sampling interval in accesses for -stats-out")
-		statsCSV   = flag.Bool("stats-csv", false, "emit -stats-out time-series as CSV instead of JSONL")
 		traceOut   = flag.String("trace-out", "", "write each simulation's -span-topk slowest sampled span trees as Chrome trace_event JSON, one <workload>_<design>.trace.json per simulation, into this directory; needs -span-sample")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	)
@@ -155,7 +154,7 @@ func run() int {
 	// The run table drives the progress/ETA line on every campaign and the
 	// /runs endpoint when the plane is listening; the broker exists only
 	// with -listen (a nil broker publishes nothing).
-	sinks := obsFlags.Sinks(spanFlags, *statsIvl, logger)
+	sinks := obsFlags.Sinks(spanFlags, *statsIvl)
 	table := obs.NewRunTable(*par, sinks.Broker)
 
 	// The campaign-level phase accumulator: every simulation's attributed
@@ -227,13 +226,9 @@ func run() int {
 
 	// Per-cell telemetry: each executed simulation gets its own sinks,
 	// with files named after the cell label; with the plane up, span
-	// recorders and watchdogs register into hubs so /spans and /phases
-	// carry every executing cell.
+	// recorders register into the hub so /spans carries every executing
+	// cell.
 	if sinks.Enabled(*statsOut) {
-		statsExt := ".jsonl"
-		if *statsCSV {
-			statsExt = ".csv"
-		}
 		cellPath := func(dir, label, ext string) string {
 			if dir == "" {
 				return ""
@@ -244,7 +239,7 @@ func run() int {
 			reg := telemetry.NewRegistry()
 			s.RegisterMetrics(reg.Root())
 			finish, err := sinks.Attach(reg, label, s,
-				cellPath(*statsOut, label, statsExt), cellPath(*traceOut, label, ".trace.json"))
+				cellPath(*statsOut, label, ".jsonl"), cellPath(*traceOut, label, ".trace.json"))
 			if err != nil {
 				logger.Error("create telemetry sinks", "run", label, "err", err)
 				os.Exit(exitCampaign)
@@ -266,7 +261,6 @@ func run() int {
 		Runs:      table,
 		Events:    sinks.Broker,
 		Spans:     sinks.SpanHub,
-		Watch:     sinks.WatchHub,
 		Logger:    logger,
 	}
 	if coordinator != nil {

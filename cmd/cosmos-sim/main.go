@@ -7,7 +7,7 @@
 //	cosmos-sim -workload DFS -design COSMOS -accesses 2000000
 //	cosmos-sim -workload mcf -design MorphCtr -accesses 1000000 -cores 8
 //	cosmos-sim -workload DFS -design COSMOS -listen localhost:9090
-//	cosmos-sim -workload mcf,DFS -design COSMOS -span-sample 64 -watch -listen :0
+//	cosmos-sim -workload mcf -design COSMOS -span-sample 64 -listen :0
 //	cosmos-sim -workload mcf -design COSMOS -span-sample 1 -span-topk 256 -trace-out mcf.trace.json
 //
 // With -listen the simulation serves its live observability plane while it
@@ -19,10 +19,7 @@
 // histograms feed tail percentiles (p50/p95/p99/p999) into the results and
 // a deterministic 1-in-N access subset gets a full span tree, the slowest
 // exemplars served on /spans and, with -trace-out, written as a Chrome
-// trace for Perfetto or about://tracing. -watch runs the online watchdog
-// over the interval-sampler stream and flags phase changes and anomalies
-// as events, metrics and /phases segments. A comma-separated -workload
-// chains workloads back to back — the canonical phase-change input.
+// trace for Perfetto or about://tracing.
 //
 // A run stopped before its -accesses budget (a signal, -timeout, or a
 // damaged or truncated trace file) still prints the results it reached,
@@ -48,31 +45,6 @@ import (
 	"cosmos/internal/trace"
 	"cosmos/internal/workloads"
 )
-
-// buildWorkloads resolves the -workload flag: a single name builds that
-// workload, a comma-separated list chains the named workloads back to back
-// with trace.Concat, splitting the access budget evenly (the last phase
-// takes the remainder).
-func buildWorkloads(spec string, accesses uint64, opts workloads.Options) (trace.Generator, error) {
-	names := strings.Split(spec, ",")
-	if len(names) == 1 {
-		return workloads.Build(spec, opts)
-	}
-	per := accesses / uint64(len(names))
-	parts := make([]trace.Generator, len(names))
-	for i, name := range names {
-		g, err := workloads.Build(strings.TrimSpace(name), opts)
-		if err != nil {
-			return nil, err
-		}
-		limit := per
-		if i == len(names)-1 {
-			limit = accesses - per*uint64(len(names)-1)
-		}
-		parts[i] = trace.Limit(g, limit)
-	}
-	return trace.Concat(spec, parts...), nil
-}
 
 func main() {
 	var (
@@ -156,11 +128,7 @@ func main() {
 		die("validate config", err)
 	}
 
-	// A comma-separated -workload runs the named workloads back to back as
-	// phases of one access stream (the -accesses budget split evenly, the
-	// last phase taking the remainder) — the shape the watchdog detects as
-	// a phase change.
-	gen, err := buildWorkloads(*workload, *accesses, workloads.Options{
+	gen, err := workloads.Build(*workload, workloads.Options{
 		Threads: *cores, Seed: *seed, GraphNodes: *nodes, GraphDegree: *degree,
 	})
 	if err != nil {
@@ -170,15 +138,16 @@ func main() {
 	s := sim.New(cfg, d)
 	label := *workload + "_" + d.Name
 
-	// Phase attribution is always on: the attributed run loop costs ~two
-	// clock reads per 256 steps and feeds the wall-time breakdown in the
-	// summary, the -json Perf block and the cosmos_perf_* metric families.
+	// Phase attribution is always on: RunContext makes four clock reads
+	// per block of 1,024 accesses (a decode pair and a step pair) and feeds
+	// the wall-time breakdown in the summary, the -json Perf block and the
+	// cosmos_perf_* metric families.
 	phases := telemetry.NewPhases()
 	s.AttachPhases(phases)
 
-	// Telemetry registers the system's metrics and runs the span, watch
-	// and stats sinks; with none of them and no plane the run stays bare.
-	sinks := obsFlags.Sinks(spanFlags, *statsIvl, logger)
+	// Telemetry registers the system's metrics and runs the span and stats
+	// sinks; with neither of them and no plane the run stays bare.
+	sinks := obsFlags.Sinks(spanFlags, *statsIvl)
 	reg := telemetry.NewRegistry()
 	if sinks.Enabled(*statsOut) {
 		s.RegisterMetrics(reg.Root())
@@ -202,7 +171,6 @@ func main() {
 		Runs:      table,
 		Events:    sinks.Broker,
 		Spans:     sinks.SpanHub,
-		Watch:     sinks.WatchHub,
 		Logger:    logger,
 	})
 	if err != nil {

@@ -48,21 +48,18 @@ func (o *Obs) Logger(component string) (*slog.Logger, error) {
 	return obs.SetupLogger(component, o.LogFormat, o.LogLevel)
 }
 
-// Spans holds the span-tracing and watchdog flags.
+// Spans holds the span-tracing flags.
 type Spans struct {
 	SampleEvery uint64
 	TopK        int
-	Watch       bool
 }
 
-// RegisterSpans adds -span-sample, -span-topk and -watch to fs.
+// RegisterSpans adds -span-sample and -span-topk to fs.
 func RegisterSpans(fs *flag.FlagSet) *Spans {
 	s := &Spans{}
 	fs.Uint64Var(&s.SampleEvery, "span-sample", 0,
 		"build a full span tree for 1 in this many accesses and serve the slowest exemplars on /spans (0 = off; histogram tails are collected either way once enabled)")
 	fs.IntVar(&s.TopK, "span-topk", 16, "keep this many slowest span-tree exemplars (also the -trace-out bound; at least 1)")
-	fs.BoolVar(&s.Watch, "watch", false,
-		"run the online phase/anomaly watchdog over the interval-sampler stream (emits phase_change/anomaly events and /phases)")
 	return s
 }
 

@@ -13,7 +13,6 @@ import (
 	"cosmos/internal/obs"
 	"cosmos/internal/sim"
 	"cosmos/internal/telemetry"
-	"cosmos/internal/watch"
 )
 
 // Serve starts the observability plane on -listen and logs its address;
@@ -38,42 +37,39 @@ func (o *Obs) Serve(cfg obs.Config) (stop func(), err error) {
 	}, nil
 }
 
-// RunSinks attaches the telemetry the span, watch, stats and -listen flags
-// ask for to each simulation a command executes.
+// RunSinks attaches the telemetry the span, stats and -listen flags ask
+// for to each simulation a command executes.
 type RunSinks struct {
 	Spans    *Spans
 	Interval uint64 // -stats-interval
-	Logger   *slog.Logger
-	// The plane's /events, /spans and /phases feeds; nil without -listen.
-	// A hub stays empty while its flag is off, so its endpoint serves [].
-	Broker   *obs.Broker
-	SpanHub  *obs.SpanHub
-	WatchHub *obs.WatchHub
+	// The plane's /events and /spans feeds; nil without -listen. The span
+	// hub stays empty while -span-sample is off, so /spans serves [].
+	Broker  *obs.Broker
+	SpanHub *obs.SpanHub
 }
 
 // Sinks builds the RunSinks for the parsed flags.
-func (o *Obs) Sinks(spans *Spans, interval uint64, logger *slog.Logger) *RunSinks {
-	rs := &RunSinks{Spans: spans, Interval: interval, Logger: logger}
+func (o *Obs) Sinks(spans *Spans, interval uint64) *RunSinks {
+	rs := &RunSinks{Spans: spans, Interval: interval}
 	if o.Listen != "" {
-		rs.Broker, rs.SpanHub, rs.WatchHub = obs.NewBroker(), obs.NewSpanHub(), obs.NewWatchHub()
+		rs.Broker, rs.SpanHub = obs.NewBroker(), obs.NewSpanHub()
 	}
 	return rs
 }
 
 // Enabled reports whether a run needs Attach at all; without a stats sink,
-// the plane, spans or the watchdog it stays bare and bit-identical.
+// the plane or spans it stays bare and bit-identical.
 func (rs *RunSinks) Enabled(statsOut string) bool {
-	return statsOut != "" || rs.Broker != nil || rs.Spans.Enabled() || rs.Spans.Watch
+	return statsOut != "" || rs.Broker != nil || rs.Spans.Enabled()
 }
 
 // Attach wires one run's telemetry into s, whose metrics the caller has
-// registered in reg: the span recorder and watchdog (each with its hub),
-// and a sampler writing statsPath (CSV for a .csv path, JSONL otherwise)
-// and the broker. The sampler exists only with a file, the broker or the
-// watchdog to feed. An empty path writes no file; the files are created
-// here, so a bad path fails before the run. finish,
-// called once after the run, writes the Chrome trace to tracePath, closes
-// the files and returns every sink error, joined.
+// registered in reg: the span recorder (with its hub), and a sampler
+// writing statsPath (CSV for a .csv path, JSONL otherwise) and the broker.
+// The sampler exists only with a file or the broker to feed. An empty path
+// writes no file; the files are created here, so a bad path fails before
+// the run. finish, called once after the run, writes the Chrome trace to
+// tracePath, closes the files and returns every sink error, joined.
 func (rs *RunSinks) Attach(reg *telemetry.Registry, label string, s *sim.System, statsPath, tracePath string) (finish func() error, err error) {
 	if err := rs.Spans.Validate(tracePath); err != nil {
 		return nil, err
@@ -85,14 +81,6 @@ func (rs *RunSinks) Attach(reg *telemetry.Registry, label string, s *sim.System,
 		rs.SpanHub.Register(label, rec)
 	}
 	cfg := telemetry.SamplerConfig{Interval: rs.Interval}
-	if rs.Spans.Watch {
-		// The watchdog reads the sampler's rows in process, so -watch
-		// forces a sampler even with no file sink.
-		dog := watch.New(reg, watch.Config{Notify: obs.WatchNotifier(rs.Logger, rs.Broker, label)})
-		dog.RegisterMetrics(reg.Root().Scope("watch"))
-		rs.WatchHub.Register(label, dog)
-		cfg.Observer = dog.ObserveRow
-	}
 
 	var files []*os.File // closed by finish, or here when Attach fails
 	closeAll := func() (err error) {
@@ -137,7 +125,7 @@ func (rs *RunSinks) Attach(reg *telemetry.Registry, label string, s *sim.System,
 		cfg.JSONL = bw
 	}
 	var sp *telemetry.Sampler
-	if cfg.JSONL != nil || cfg.CSV != nil || cfg.Observer != nil {
+	if cfg.JSONL != nil || cfg.CSV != nil {
 		if sp, err = telemetry.NewSampler(reg, cfg); err != nil {
 			return nil, err
 		}

@@ -97,7 +97,7 @@ func TestRunSinksTraceWrittenAtFinish(t *testing.T) {
 func TestRunSinksNoSinkIsBare(t *testing.T) {
 	rs := &RunSinks{Spans: parseSpans(t), Interval: 5_000}
 	if rs.Enabled("") {
-		t.Fatal("Enabled with no sink, plane, spans or watchdog")
+		t.Fatal("Enabled with no sink, plane or spans")
 	}
 	got := attachAndRun(t, rs, "", "")
 	s, _ := newSinkSystem()

@@ -14,12 +14,10 @@
 //	/runs         live JSON of the campaign run table (per-cell status,
 //	              queue-wait/exec times, source counts, worker occupancy,
 //	              ETA)
-//	/events       SSE stream of run lifecycle transitions, interval-
-//	              sampler snapshots and watchdog detections
+//	/events       SSE stream of run lifecycle transitions and interval-
+//	              sampler snapshots
 //	/spans        top-K slowest access span trees plus per-cause latency
 //	              percentiles of every attached span recorder
-//	/phases       the online watchdog's detected phase segments and
-//	              anomalies per run
 //	/debug/pprof  the standard profiling endpoints
 //	/coord/*      when serving a distributed campaign, the lease fabric
 //	              (mounted via Config.Attach; see internal/coord)
@@ -62,8 +60,6 @@ type Config struct {
 	Events *Broker
 	// Spans is the span-recorder hub served on /spans.
 	Spans *SpanHub
-	// Watch is the watchdog hub served on /phases.
-	Watch *WatchHub
 	// Logger defaults to slog.Default().
 	Logger *slog.Logger
 	// Heartbeat is the SSE keep-alive comment cadence (default 15s).
@@ -108,7 +104,6 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("/runs", s.handleRuns)
 	s.mux.HandleFunc("/events", s.handleEvents)
 	s.mux.HandleFunc("/spans", s.handleSpans)
-	s.mux.HandleFunc("/phases", s.handlePhases)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

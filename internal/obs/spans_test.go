@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"cosmos/internal/telemetry"
-	"cosmos/internal/watch"
 )
 
 func TestSpansEndpoint(t *testing.T) {
@@ -59,107 +57,32 @@ func TestSpansEndpoint(t *testing.T) {
 
 func TestSpansEndpointWithoutHub(t *testing.T) {
 	srv := NewServer(Config{Component: "cosmos-test"})
-	for _, path := range []string{"/spans", "/phases"} {
-		w := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
-		if w.Code != http.StatusOK {
-			t.Fatalf("%s status = %d", path, w.Code)
-		}
-		if body := strings.TrimSpace(w.Body.String()); body != "[]" {
-			t.Fatalf("%s body = %q, want []", path, body)
-		}
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/spans", nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("/spans status = %d", w.Code)
+	}
+	if body := strings.TrimSpace(w.Body.String()); body != "[]" {
+		t.Fatalf("/spans body = %q, want []", body)
 	}
 }
 
-// TestEmptyHubsServeLikeNoHub: a plane whose hubs never get a recorder or
-// watchdog (span tracing and -watch off) answers exactly like one without
-// hubs, and registering into a nil hub is a no-op.
+// TestEmptyHubsServeLikeNoHub: a plane whose span hub never gets a
+// recorder (span tracing off) answers exactly like one without a hub, and
+// registering into a nil hub is a no-op.
 func TestEmptyHubsServeLikeNoHub(t *testing.T) {
 	(*SpanHub)(nil).Register("x", telemetry.NewSpanRecorder(1, 1))
-	(*WatchHub)(nil).Register("x", watch.New(nil, watch.Config{}))
 	bare := NewServer(Config{Component: "cosmos-test"})
-	hubs := NewServer(Config{Component: "cosmos-test", Spans: NewSpanHub(), Watch: NewWatchHub()})
-	for _, path := range []string{"/spans", "/phases"} {
-		var bodies [2]string
-		for i, srv := range []*Server{bare, hubs} {
-			w := httptest.NewRecorder()
-			srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
-			bodies[i] = w.Body.String()
-		}
-		if bodies[0] != bodies[1] {
-			t.Fatalf("%s: empty hub serves %q, no hub %q", path, bodies[1], bodies[0])
-		}
+	hub := NewServer(Config{Component: "cosmos-test", Spans: NewSpanHub()})
+	var bodies [2]string
+	for i, srv := range []*Server{bare, hub} {
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/spans", nil))
+		bodies[i] = w.Body.String()
 	}
-}
-
-func TestPhasesEndpoint(t *testing.T) {
-	hub := NewWatchHub()
-	dog := watch.New(nil, watch.Config{Signals: []string{"sig"}})
-	for i := 0; i < 25; i++ {
-		v := 10.0
-		if i >= 20 {
-			v = 100
-		}
-		dog.ObserveRow(telemetry.Row{
-			Interval: i, Accesses: uint64(i+1) * 1000, Delta: 1000,
-			Values: map[string]float64{"sig": v},
-		})
+	if bodies[0] != bodies[1] {
+		t.Fatalf("/spans: empty hub serves %q, no hub %q", bodies[1], bodies[0])
 	}
-	hub.Register("mcf_COSMOS", dog)
-
-	srv := NewServer(Config{Component: "cosmos-test", Watch: hub})
-	w := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/phases", nil))
-	var got []RunPhases
-	if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Run != "mcf_COSMOS" {
-		t.Fatalf("runs = %+v", got)
-	}
-	if got[0].AnomalyCount == 0 || got[0].PhaseChanges == 0 {
-		t.Fatalf("snapshot = %+v, want detections", got[0].Snapshot)
-	}
-	if len(got[0].Phases) < 2 || len(got[0].Anomalies) == 0 {
-		t.Fatalf("phases/anomalies = %d/%d", len(got[0].Phases), len(got[0].Anomalies))
-	}
-}
-
-func TestWatchNotifierPublishes(t *testing.T) {
-	broker := NewBroker()
-	ch, cancel := broker.Subscribe()
-	defer cancel()
-
-	var logBuf strings.Builder
-	logger := slog.New(slog.NewTextHandler(&logBuf, nil))
-	notify := WatchNotifier(logger, broker, "mcf_COSMOS")
-	notify(watch.Event{Kind: "anomaly", Signal: "sim.avg_fetch_lat", Interval: 12, Z: 7.5, Phase: 0})
-	notify(watch.Event{Kind: "phase_change", Signal: "sim.avg_fetch_lat", Interval: 13, Phase: 1})
-
-	ev := <-ch
-	if ev.Type != "anomaly" {
-		t.Fatalf("event type = %q, want anomaly", ev.Type)
-	}
-	var payload struct {
-		Run   string      `json:"run"`
-		Event watch.Event `json:"event"`
-	}
-	if err := json.Unmarshal(ev.Data, &payload); err != nil {
-		t.Fatal(err)
-	}
-	if payload.Run != "mcf_COSMOS" || payload.Event.Signal != "sim.avg_fetch_lat" {
-		t.Fatalf("payload = %+v", payload)
-	}
-	if ev2 := <-ch; ev2.Type != "phase_change" {
-		t.Fatalf("second event type = %q, want phase_change", ev2.Type)
-	}
-	if !strings.Contains(logBuf.String(), "watchdog detection") ||
-		!strings.Contains(logBuf.String(), "sim.avg_fetch_lat") {
-		t.Fatalf("log output = %q", logBuf.String())
-	}
-
-	// Nil logger and nil broker are both fine.
-	WatchNotifier(nil, nil, "x")(watch.Event{Kind: "anomaly"})
 }
 
 // TestEventsKeepaliveReachesSlowSubscriber pins the idle-stream contract:

@@ -9,28 +9,12 @@ import (
 )
 
 // SamplerConfig configures an interval Sampler. Interval is in accesses
-// (the simulator's logical clock); JSONL, CSV and Observer are optional
-// sinks — at least one must be set.
+// (the simulator's logical clock); JSONL and CSV are optional sinks — at
+// least one must be set.
 type SamplerConfig struct {
 	Interval uint64
 	JSONL    io.Writer
 	CSV      io.Writer
-	// Observer, when non-nil, receives every emitted row in-process —
-	// the hook the online watchdog consumes the time-series through
-	// without a serialisation round-trip. It runs on the simulation
-	// goroutine, synchronously, once per interval.
-	Observer func(Row)
-}
-
-// Row is one interval sample delivered to an Observer: counters and
-// histogram counts as per-interval deltas, rates and gauges as emitted,
-// histogram means as the interval mean (name+".count", name+".mean") —
-// exactly the values the JSONL sink writes.
-type Row struct {
-	Interval int
-	Accesses uint64
-	Delta    uint64
-	Values   map[string]float64
 }
 
 // Sampler snapshots every metric of a Registry each Interval accesses and
@@ -45,9 +29,8 @@ type Sampler struct {
 	reg      *Registry
 	interval uint64
 
-	jsonl    io.Writer
-	csvw     *csv.Writer
-	observer func(Row)
+	jsonl io.Writer
+	csvw  *csv.Writer
 
 	nextAt      uint64
 	lastSampled uint64
@@ -69,11 +52,10 @@ func NewSampler(reg *Registry, cfg SamplerConfig) (*Sampler, error) {
 	if cfg.Interval == 0 {
 		return nil, fmt.Errorf("telemetry: sampler interval must be > 0")
 	}
-	if cfg.JSONL == nil && cfg.CSV == nil && cfg.Observer == nil {
+	if cfg.JSONL == nil && cfg.CSV == nil {
 		return nil, fmt.Errorf("telemetry: sampler needs at least one sink")
 	}
-	s := &Sampler{reg: reg, interval: cfg.Interval, jsonl: cfg.JSONL,
-		observer: cfg.Observer, nextAt: cfg.Interval}
+	s := &Sampler{reg: reg, interval: cfg.Interval, jsonl: cfg.JSONL, nextAt: cfg.Interval}
 	if cfg.CSV != nil {
 		s.csvw = csv.NewWriter(cfg.CSV)
 	}
@@ -132,10 +114,6 @@ func (s *Sampler) sample(accesses uint64) {
 	if s.jsonl != nil {
 		obj = make(map[string]any, len(s.reg.metrics)+3)
 	}
-	var vals map[string]float64
-	if s.observer != nil {
-		vals = make(map[string]float64, len(s.reg.metrics))
-	}
 	if s.csvw != nil && !s.wroteHeader {
 		s.writeCSVHeader()
 	}
@@ -151,9 +129,6 @@ func (s *Sampler) sample(accesses uint64) {
 		if obj != nil {
 			obj[name] = v
 		}
-		if vals != nil {
-			vals[name] = float64(v)
-		}
 		if s.csvw != nil {
 			s.csvRecord = append(s.csvRecord, strconv.FormatUint(v, 10))
 		}
@@ -161,9 +136,6 @@ func (s *Sampler) sample(accesses uint64) {
 	emitF := func(name string, v float64) {
 		if obj != nil {
 			obj[name] = v
-		}
-		if vals != nil {
-			vals[name] = v
 		}
 		if s.csvw != nil {
 			s.csvRecord = append(s.csvRecord, strconv.FormatFloat(v, 'g', -1, 64))
@@ -223,9 +195,6 @@ func (s *Sampler) sample(accesses uint64) {
 		if err := s.csvw.Write(s.csvRecord); err != nil && s.err == nil {
 			s.err = err
 		}
-	}
-	if s.observer != nil {
-		s.observer(Row{Interval: s.rows, Accesses: accesses, Delta: delta, Values: vals})
 	}
 
 	s.lastSampled = accesses

@@ -235,6 +235,6 @@ func TestSamplerConfigValidation(t *testing.T) {
 		t.Error("zero interval accepted")
 	}
 	if _, err := NewSampler(r, SamplerConfig{Interval: 10}); err == nil {
-		t.Error("sink-less sampler accepted")
+		t.Error("sampler with neither a JSONL nor a CSV sink accepted")
 	}
 }

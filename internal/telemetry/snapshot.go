@@ -78,27 +78,6 @@ func (s Sample) Value() float64 {
 	return 0
 }
 
-// Kind reports the named metric's kind; ok is false when no metric with
-// that name is registered. Consumers that post-process sampler rows (the
-// watchdog normalising counter deltas by interval length) use it to decide
-// per-signal treatment without re-deriving the registry's layout.
-func (r *Registry) Kind(name string) (Kind, bool) {
-	i, ok := r.index[name]
-	if !ok {
-		return 0, false
-	}
-	switch r.metrics[i].kind {
-	case kindCounter:
-		return KindCounter, true
-	case kindGauge:
-		return KindGauge, true
-	case kindRate:
-		return KindRate, true
-	default:
-		return KindHistogram, true
-	}
-}
-
 // Snapshot reads every registered metric once, in registration order.
 // Registration must be complete before the first call (the same contract as
 // the Sampler); the read itself takes whatever locks the registered closures

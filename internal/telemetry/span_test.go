@@ -190,47 +190,3 @@ func TestSpanRecorderReport(t *testing.T) {
 		t.Fatal("Stat on missing cause / nil report must return nil")
 	}
 }
-
-func TestSamplerObserver(t *testing.T) {
-	reg := NewRegistry()
-	var ctr uint64
-	reg.Root().Scope("sim").Counter("offchip_reads", &ctr)
-	h := reg.Root().Scope("sim").Histogram("fetch_latency")
-
-	var rows []Row
-	sp, err := NewSampler(reg, SamplerConfig{
-		Interval: 10,
-		Observer: func(r Row) { rows = append(rows, r) },
-	})
-	if err != nil {
-		t.Fatalf("observer-only sampler rejected: %v", err)
-	}
-	for i := uint64(1); i <= 25; i++ {
-		ctr++
-		h.Observe(100)
-		sp.MaybeSample(i)
-	}
-	sp.Flush(25)
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows, want 3 (two full intervals + flush)", len(rows))
-	}
-	r0, r2 := rows[0], rows[2]
-	if r0.Accesses != 10 || r0.Delta != 10 || r0.Values["sim.offchip_reads"] != 10 {
-		t.Fatalf("row0 = %+v", r0)
-	}
-	if r2.Accesses != 25 || r2.Delta != 5 || r2.Values["sim.offchip_reads"] != 5 {
-		t.Fatalf("flush row = %+v", r2)
-	}
-	if r0.Values["sim.fetch_latency.mean"] != 100 || r0.Values["sim.fetch_latency.count"] != 10 {
-		t.Fatalf("hist values = %+v", r0.Values)
-	}
-	if k, ok := reg.Kind("sim.offchip_reads"); !ok || k != KindCounter {
-		t.Fatalf("Kind(counter) = %v/%v", k, ok)
-	}
-	if k, ok := reg.Kind("sim.fetch_latency"); !ok || k != KindHistogram {
-		t.Fatalf("Kind(hist) = %v/%v", k, ok)
-	}
-	if _, ok := reg.Kind("missing"); ok {
-		t.Fatal("Kind on unknown metric must report !ok")
-	}
-}

@@ -53,13 +53,6 @@ func TestBlockDecodeMatchesScalar(t *testing.T) {
 				}
 			})
 		},
-		"concat": func() Generator {
-			return Concat("phases",
-				Limit(NewZipf(blkRegion, 4096, 0.8, 13, 7), 2500),
-				Limit(NewSequential(blkRegion, 4, 1), 3001),
-				NewPointerChase(blkRegion, 512, 3, 3),
-			)
-		},
 		"interleave": func() Generator {
 			return NewInterleave("mix", []Generator{
 				NewSequential(blkRegion, 4, 1),

@@ -100,46 +100,6 @@ func (l *limited) Close() { CloseIfCloser(l.g) }
 
 func (l *limited) Err() error { return Err(l.g) }
 
-type concat struct {
-	name string
-	gens []Generator
-	cur  int
-}
-
-// Concat chains streams back to back: the next generator starts when the
-// previous one is exhausted (wrap phase-sized segments with Limit). The
-// result models a workload switch mid-run — the access stream is still a
-// pure function of its parts, so runs stay deterministic.
-func Concat(name string, gens ...Generator) Generator {
-	return &concat{name: name, gens: gens}
-}
-
-func (c *concat) Name() string { return c.name }
-
-// NextBlock implements Generator: each phase decodes in bulk, and a
-// block may span the seam between two phases.
-func (c *concat) NextBlock(dst []memsys.Access) int {
-	n := 0
-	for n < len(dst) && c.cur < len(c.gens) {
-		m := c.gens[c.cur].NextBlock(dst[n:])
-		if m == 0 {
-			CloseIfCloser(c.gens[c.cur])
-			c.cur++
-			continue
-		}
-		n += m
-	}
-	return n
-}
-
-func (c *concat) Close() {
-	for ; c.cur < len(c.gens); c.cur++ {
-		CloseIfCloser(c.gens[c.cur])
-	}
-}
-
-func (c *concat) Err() error { return firstErr(c.gens) }
-
 // Interleave merges per-thread streams deterministically: `chunk` accesses
 // from thread 0, then thread 1, … wrapping around, skipping exhausted
 // threads. Thread IDs are stamped onto the accesses.

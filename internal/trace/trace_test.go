@@ -265,44 +265,3 @@ func TestCloseIfCloserOnPlainGenerator(t *testing.T) {
 	// Sequential does not implement Closer — must be a no-op, not a panic.
 	CloseIfCloser(NewSequential(region(64), 0, 0))
 }
-
-func TestConcatChainsPhases(t *testing.T) {
-	mk := func() Generator {
-		return Concat("mcf,DFS",
-			Limit(NewSequential(region(64*100), 0, 0), 5),
-			Limit(NewSequential(memsys.Region{Name: "r2", Base: 1 << 24, Size: 64 * 100, Elem: 1}, 0, 0), 5),
-		)
-	}
-	g := mk()
-	if g.Name() != "mcf,DFS" {
-		t.Fatalf("name = %q", g.Name())
-	}
-	got := take(g, 1000)
-	if len(got) != 10 {
-		t.Fatalf("concat of 5+5 yielded %d", len(got))
-	}
-	for i, a := range got {
-		inSecond := uint64(a.Addr) >= 1<<24
-		if (i >= 5) != inSecond {
-			t.Fatalf("access %d at %#x crosses the phase seam wrong", i, uint64(a.Addr))
-		}
-	}
-	if len(take(g, 1)) != 0 {
-		t.Fatal("exhausted concat must stay exhausted")
-	}
-
-	// A larger block spans the seam and matches the stream exactly.
-	g2 := mk()
-	buf := make([]memsys.Access, 8)
-	if n := NextBlock(g2, buf); n != 8 {
-		t.Fatalf("NextBlock across the seam = %d, want 8", n)
-	}
-	for i := range buf {
-		if buf[i] != got[i] {
-			t.Fatalf("block access %d = %+v, want %+v", i, buf[i], got[i])
-		}
-	}
-	if n := NextBlock(g2, buf); n != 2 {
-		t.Fatalf("tail block = %d, want 2", n)
-	}
-}
