@@ -67,11 +67,20 @@ func (s Stats) HitRate() float64 {
 // (byte address >> 6). It is a tag store only: data payloads live in the
 // functional layer (internal/enclave), not here.
 //
-// The tag store is laid out for the probe loop: one contiguous uint64 tag
-// array (sets*ways, row-major) plus per-set valid/dirty bitmasks, so a
-// lookup scans packed tags guided by a popcount walk over the valid mask
-// and victim selection finds a free way with one trailing-zeros
-// instruction. Set index and tag shift are precomputed at construction.
+// The tag store is laid out for the probe loop: one uint64 slab holding a
+// contiguous record per set, so a probe finds the valid mask, the partial
+// tags, the recency order and the dirty bits on the first host cache line
+// it touches. A record is rec words:
+//
+//	recValid    way-occupancy bitmask
+//	recDirty    dirty bitmask
+//	recOrder    packed LRU recency order (cache-owned LRU only, see touch)
+//	recPartial  pw partial-tag words, then ways full tags
+//
+// A lookup scans packed tags guided by the valid mask and victim selection
+// finds a free way with one trailing-zeros instruction. Set index and tag
+// shift are precomputed at construction. A zeroed record is an empty set,
+// so New writes no set memory.
 type Cache struct {
 	name  string
 	sets  int
@@ -80,37 +89,49 @@ type Cache struct {
 	mask  uint64 // sets - 1
 	wmask uint64 // ways low bits set: the full-set valid mask
 
-	tags  []uint64 // sets*ways line tags, row-major
-	valid []uint64 // per-set way-occupancy bitmask
-	dirty []uint64 // per-set dirty bitmask
-	// partial holds the low byte of every way's tag, eight ways packed per
-	// uint64 (pw words per set), so a lookup compares all ways at once with
-	// a SWAR zero-byte scan and only candidate ways touch the full tag
-	// array. Bytes of invalid ways are stale; candidates are verified
-	// against the valid mask and the full tag, so stale or colliding bytes
-	// cost one extra compare, never a wrong answer.
-	partial []uint64
-	pw      int // partial words per set: (ways+7)/8
+	slab []uint64 // sets records of rec words each
+	rec  int      // words per record: tags + ways
+	// tags is the record offset of way 0's full tag. The pw = (ways+7)/8
+	// words before it, from recPartial on, hold the low byte of every
+	// way's tag, eight ways packed per uint64, so a lookup compares all
+	// ways at once with a SWAR zero-byte scan and only candidate ways touch
+	// the full tags. Bytes of invalid ways are stale; candidates are
+	// verified against the valid mask and the full tag, so stale or
+	// colliding bytes cost one extra compare, never a wrong answer.
+	tags int
 
 	pol Policy
-	// lru is set when pol is the plain LRU policy; its touch/victim
-	// callbacks are then inlined on the hot path instead of dispatched
-	// through the Policy interface. Semantics are identical.
-	lru *LRU
-	seq uint64
+	// lru is set when pol is the plain LRU policy and ways <= 16: the cache
+	// then keeps each set's recency order in the record's recOrder word and
+	// never calls the policy. Wider LRU caches go through the Policy
+	// interface like every other policy.
+	lru bool
+	// lruID is the order a zeroed recOrder word stands for (initialOrder);
+	// lruVictim is the bit offset of the LRU way's nibble in recOrder.
+	lruID     uint64
+	lruVictim uint
+	seq       uint64
 
-	// MRU-repeat memo (LRU caches only): the line, set and way of the most
-	// recent access. A repeat of that line is answered without lookup or
-	// policy work — the line is necessarily still resident (the most
-	// recently touched way is never the eviction victim, and any fill that
-	// displaces it retargets the memo) and already at the MRU position, so
-	// only the hit counters and the dirty bit need updating. lastLine is
-	// ^0 when no memo is valid.
-	lastLine         uint64
-	lastSet, lastWay int
+	// MRU-repeat memo (cache-owned LRU only): the line, set, record offset
+	// and way of the most recent access. A repeat of that line is answered
+	// without lookup or policy work — the line is necessarily still
+	// resident (the most recently touched way is never the eviction
+	// victim, and any fill that displaces it retargets the memo) and
+	// already at the MRU position, so only the hit counters and the dirty
+	// bit need updating. lastLine is ^0 when no memo is valid.
+	lastLine                  uint64
+	lastSet, lastRec, lastWay int
 
 	Stats Stats
 }
+
+// Record word offsets; the partial words run from recPartial to tags.
+const (
+	recValid = iota
+	recDirty
+	recOrder
+	recPartial
+)
 
 // Result reports the outcome of an Access.
 type Result struct {
@@ -155,26 +176,26 @@ func New(name string, sizeBytes, ways int, pol Policy) *Cache {
 		panic(err.Error())
 	}
 	sets := sizeBytes / (ways * 64)
-	pw := (ways + 7) / 8
+	tags := recPartial + (ways+7)/8
 	c := &Cache{
-		name:    name,
-		sets:    sets,
-		ways:    ways,
-		shift:   uint(log2(sets)),
-		mask:    uint64(sets - 1),
-		wmask:   ^uint64(0) >> (64 - uint(ways)),
-		tags:    make([]uint64, sets*ways),
-		valid:   make([]uint64, sets),
-		dirty:   make([]uint64, sets),
-		partial: make([]uint64, sets*pw),
-		pw:      pw,
-		pol:     pol,
+		name:      name,
+		sets:      sets,
+		ways:      ways,
+		shift:     uint(log2(sets)),
+		mask:      uint64(sets - 1),
+		wmask:     ^uint64(0) >> (64 - uint(ways)),
+		rec:       tags + ways,
+		tags:      tags,
+		pol:       pol,
+		lruVictim: 4 * uint(ways-1),
+		lastLine:  ^uint64(0),
 	}
-	if l, ok := pol.(*LRU); ok {
-		c.lru = l
+	c.slab = make([]uint64, sets*c.rec)
+	if _, ok := pol.(*LRU); ok && ways <= 16 {
+		c.lru, c.lruID = true, initialOrder(ways)
+	} else {
+		pol.Reset(sets, ways)
 	}
-	c.lastLine = ^uint64(0)
-	pol.Reset(sets, ways)
 	return c
 }
 
@@ -194,7 +215,7 @@ func (c *Cache) SizeBytes() int { return c.sets * c.ways * 64 }
 func (c *Cache) Policy() Policy { return c.pol }
 
 func (c *Cache) index(lineNum uint64) (set int, tag uint64) {
-	return int(lineNum & c.mask), lineNum >> c.shift
+	return int(lineNum & c.mask), lineNum >> (c.shift & 63)
 }
 
 func log2(n int) int {
@@ -211,21 +232,28 @@ const (
 	swarMSB = 0x8080808080808080
 )
 
-// findWay returns the way holding tag in set, or -1. The partial-tag words
-// narrow the search with a SWAR zero-byte scan — a miss usually costs one
-// word load per eight ways instead of a tag walk — and each candidate is
+// record returns set's record.
+func (c *Cache) record(set int) []uint64 {
+	b := set * c.rec
+	return c.slab[b : b+c.rec : b+c.rec]
+}
+
+// findWay returns the way of record r holding tag, or -1. The partial-tag
+// words narrow the search with a SWAR zero-byte scan — a miss usually costs
+// one word load per eight ways instead of a tag walk — and each candidate is
 // confirmed against the valid mask and the full tag. The zero-byte trick can
-// flag false positives in bytes above a true zero byte (borrow propagation);
-// they fail the confirm and cost nothing else. Fills are miss-only, so at
-// most one valid way can match and candidate order is irrelevant.
-func (c *Cache) findWay(base, set int, valid, tag uint64) int {
+// flag false positives in bytes above a true zero byte (borrow propagation)
+// or in the padding bytes past the last way; they fail the confirm and cost
+// nothing else. Fills are miss-only, so at most one valid way can match and
+// candidate order is irrelevant.
+func (c *Cache) findWay(r []uint64, tag uint64) int {
 	pb := uint64(uint8(tag)) * swarLSB
-	pbase := set * c.pw
-	for wd := 0; wd < c.pw; wd++ {
-		x := c.partial[pbase+wd] ^ pb
+	valid := r[recValid]
+	for wd, p := range r[recPartial:c.tags] {
+		x := p ^ pb
 		for m := (x - swarLSB) &^ x & swarMSB; m != 0; m &= m - 1 {
 			w := wd<<3 | bits.TrailingZeros64(m)>>3
-			if valid>>uint(w)&1 != 0 && c.tags[base+w] == tag {
+			if valid&wayBit(w) != 0 && r[c.tags+w] == tag {
 				return w
 			}
 		}
@@ -233,11 +261,47 @@ func (c *Cache) findWay(base, set int, valid, tag uint64) int {
 	return -1
 }
 
-// setPartial records the low tag byte of (set, way) in the packed array.
-func (c *Cache) setPartial(set, way int, b uint8) {
-	i := set*c.pw + way>>3
-	sh := uint(way&7) * 8
-	c.partial[i] = c.partial[i]&^(0xff<<sh) | uint64(b)<<sh
+// Nibble-SWAR constants: repeated 0x1 and 0x8 in every 4-bit lane.
+const (
+	nibLSB = 0x1111111111111111
+	nibMSB = 0x8888888888888888
+)
+
+// initialOrder returns the recency order a zeroed recOrder word stands for
+// in an LRU cache of up to 16 ways: the reversed identity permutation,
+// nibble w holding way ways-1-w. The order word is stored XORed with it,
+// so an all-zero record is the initial order. Way 0 then sits at the LRU
+// end, which reproduces a stamp scan's lowest-index-first choice among
+// never-touched ways.
+func initialOrder(ways int) uint64 { return 0x0123456789ABCDEF >> (4 * uint(16-ways)) }
+
+// touch promotes way to MRU in record r's packed recency order (nibble 0
+// the MRU way, nibble ways-1 the LRU way). The way's nibble is located
+// with a SWAR zero-nibble scan (exact for the lowest zero lane, and each
+// way appears exactly once); the lanes below it shift up one and the way
+// enters lane 0.
+func (c *Cache) touch(r []uint64, way int) {
+	o := r[recOrder] ^ c.lruID
+	x := o ^ uint64(way)*nibLSB
+	below := uint64(1)<<(uint(bits.TrailingZeros64((x-nibLSB)&^x&nibMSB))&60) - 1
+	r[recOrder] = ((o&below)<<4 | uint64(way) | o&^(below<<4|0xF)) ^ c.lruID
+}
+
+// victim returns the LRU way of record r. The LRU lane of lruID holds way
+// 0, so the stored word's lane needs no decoding.
+func (c *Cache) victim(r []uint64) int {
+	return int(r[recOrder] >> (c.lruVictim & 63) & 0xF)
+}
+
+// wayBit is way's bit in a valid or dirty mask. Masking the shift count
+// (ways never exceed 64) spares the compiler's check for oversized shifts.
+func wayBit(way int) uint64 { return 1 << (uint(way) & 63) }
+
+// setPartial records the low tag byte of way in record r.
+func (c *Cache) setPartial(r []uint64, way int, b uint8) {
+	i := recPartial + way>>3
+	sh := uint(way&7) * 8 & 63
+	r[i] = r[i]&^(0xff<<sh) | uint64(b)<<sh
 }
 
 // RegisterMetrics registers this cache's hit/miss/eviction/writeback
@@ -277,25 +341,38 @@ func (c *Cache) probe(lineNum uint64, write bool, sig uint16, wantLine bool) (hi
 		c.Stats.Accesses++
 		c.Stats.Hits++
 		if write {
-			c.dirty[c.lastSet] |= 1 << uint(c.lastWay)
+			c.slab[c.lastRec+recDirty] |= wayBit(c.lastWay)
 		}
 		return true, c.lastSet, c.lastWay, 0, false, false
 	}
 	c.Stats.Accesses++
-	c.seq++
-	set = int(lineNum & c.mask)
-	tag := lineNum >> c.shift
-	base := set * c.ways
+	set, tag := c.index(lineNum)
+	r := c.record(set)
 
-	if w := c.findWay(base, set, c.valid[set], tag); w >= 0 {
+	// findWay, written out: a call here would spill every live value.
+	w := -1
+	pb := uint64(uint8(tag)) * swarLSB
+	valid := r[recValid]
+scan:
+	for wd, p := range r[recPartial:c.tags] {
+		x := p ^ pb
+		for m := (x - swarLSB) &^ x & swarMSB; m != 0; m &= m - 1 {
+			if cw := wd<<3 | bits.TrailingZeros64(m)>>3; valid&wayBit(cw) != 0 && r[c.tags+cw] == tag {
+				w = cw
+				break scan
+			}
+		}
+	}
+	if w >= 0 {
 		c.Stats.Hits++
 		if write {
-			c.dirty[set] |= 1 << uint(w)
+			r[recDirty] |= wayBit(w)
 		}
-		if c.lru != nil {
-			c.lru.touch(set, w)
-			c.lastLine, c.lastSet, c.lastWay = lineNum, set, w
+		if c.lru {
+			c.touch(r, w)
+			c.lastLine, c.lastSet, c.lastRec, c.lastWay = lineNum, set, set*c.rec, w
 		} else {
+			c.seq++
 			c.pol.OnHit(set, w, Event{Tag: tag, Sig: sig, Seq: c.seq})
 		}
 		return true, set, w, 0, false, false
@@ -303,65 +380,73 @@ func (c *Cache) probe(lineNum uint64, write bool, sig uint16, wantLine bool) (hi
 
 	c.Stats.Misses++
 	// Prefer an invalid way (the lowest, matching the old linear scan).
-	if inv := ^c.valid[set] & c.wmask; inv != 0 {
+	if inv := ^valid & c.wmask; inv != 0 {
 		way = bits.TrailingZeros64(inv)
 	} else {
-		if c.lru != nil {
-			way = c.lru.Victim(set)
+		if c.lru {
+			way = c.victim(r)
 		} else {
-			way = c.pol.Victim(set)
-			if way < 0 || way >= c.ways {
-				panic(fmt.Sprintf("cache %s: policy %s returned invalid victim %d", c.name, c.pol.Name(), way))
-			}
+			way = c.policyVictim(set)
 		}
 		c.Stats.Evictions++
 		evicted = true
-		evictedDirty = c.dirty[set]>>uint(way)&1 != 0
+		evictedDirty = r[recDirty]&wayBit(way) != 0
 		if evictedDirty {
 			c.Stats.Writebacks++
 		}
 		if evictedDirty || wantLine {
-			evictedLine = c.tags[base+way]<<c.shift | uint64(set)
+			evictedLine = r[c.tags+way]<<(c.shift&63) | uint64(set)
 		}
-		if c.lru == nil {
+		if !c.lru {
 			c.pol.OnEvict(set, way)
 		}
 	}
-	c.tags[base+way] = tag
-	c.setPartial(set, way, uint8(tag))
-	c.valid[set] |= 1 << uint(way)
+	r[c.tags+way] = tag
+	c.setPartial(r, way, uint8(tag))
+	r[recValid] |= wayBit(way)
 	if write {
-		c.dirty[set] |= 1 << uint(way)
+		r[recDirty] |= wayBit(way)
 	} else {
-		c.dirty[set] &^= 1 << uint(way)
+		r[recDirty] &^= wayBit(way)
 	}
-	if c.lru != nil {
-		c.lru.touch(set, way)
-		c.lastLine, c.lastSet, c.lastWay = lineNum, set, way
+	if c.lru {
+		c.touch(r, way)
+		c.lastLine, c.lastSet, c.lastRec, c.lastWay = lineNum, set, set*c.rec, way
 	} else {
+		c.seq++
 		c.pol.OnInsert(set, way, Event{Tag: tag, Sig: sig, Seq: c.seq})
 	}
 	return false, set, way, evictedLine, evicted, evictedDirty
+}
+
+// policyVictim asks the policy for set's victim and checks it names a way.
+func (c *Cache) policyVictim(set int) int {
+	way := c.pol.Victim(set)
+	if way < 0 || way >= c.ways {
+		panic(fmt.Sprintf("cache %s: policy %s returned invalid victim %d", c.name, c.pol.Name(), way))
+	}
+	return way
 }
 
 // Contains probes for the line without disturbing replacement state or
 // statistics. It is used to validate data-location predictions.
 func (c *Cache) Contains(lineNum uint64) bool {
 	set, tag := c.index(lineNum)
-	return c.findWay(set*c.ways, set, c.valid[set], tag) >= 0
+	return c.findWay(c.record(set), tag) >= 0
 }
 
 // Invalidate drops the line if present, returning whether it was dirty.
 func (c *Cache) Invalidate(lineNum uint64) (present, dirty bool) {
 	set, tag := c.index(lineNum)
-	w := c.findWay(set*c.ways, set, c.valid[set], tag)
+	r := c.record(set)
+	w := c.findWay(r, tag)
 	if w < 0 {
 		return false, false
 	}
-	bit := uint64(1) << uint(w)
-	d := c.dirty[set]&bit != 0
-	c.valid[set] &^= bit
-	c.dirty[set] &^= bit
+	bit := wayBit(w)
+	d := r[recDirty]&bit != 0
+	r[recValid] &^= bit
+	r[recDirty] &^= bit
 	c.lastLine = ^uint64(0)
 	return true, d
 }
@@ -369,10 +454,11 @@ func (c *Cache) Invalidate(lineNum uint64) (present, dirty bool) {
 // Flush invalidates every line, returning the number of dirty lines dropped.
 func (c *Cache) Flush() (dirty int) {
 	c.lastLine = ^uint64(0)
-	for s := 0; s < c.sets; s++ {
-		dirty += bits.OnesCount64(c.valid[s] & c.dirty[s])
-		c.valid[s] = 0
-		c.dirty[s] = 0
+	for b := 0; b < len(c.slab); b += c.rec {
+		r := c.slab[b : b+recPartial]
+		dirty += bits.OnesCount64(r[recValid] & r[recDirty])
+		r[recValid] = 0
+		r[recDirty] = 0
 	}
 	return dirty
 }

@@ -162,6 +162,29 @@ func policyNames() map[string]func() Policy {
 		"SHiP":       func() Policy { return NewSHiP() },
 		"Mockingjay": func() Policy { return NewMockingjay() },
 		"LCR":        func() Policy { return NewLCR() },
+		"LFU":        func() Policy { return NewLFU() },
+		"DRRIP":      func() Policy { return NewDRRIP() },
+	}
+}
+
+// TestNewLeavesRecordsZero pins what building a cache costs: a fresh
+// cache's record slab is all zero, which every record reads as an empty
+// set (and an LRU set as its initial order), for every policy and every
+// associativity. New therefore writes no set memory.
+func TestNewLeavesRecordsZero(t *testing.T) {
+	for name, mk := range policyNames() {
+		for ways := 1; ways <= 64; ways++ {
+			const sets = 4
+			c := New("c", sets*ways*64, ways, mk())
+			if len(c.slab) != sets*c.rec {
+				t.Fatalf("%s, %d ways: slab of %d words, want %d records of %d", name, ways, len(c.slab), sets, c.rec)
+			}
+			for i, w := range c.slab {
+				if w != 0 {
+					t.Fatalf("%s, %d ways: New wrote %#x at slab word %d", name, ways, w, i)
+				}
+			}
+		}
 	}
 }
 

@@ -1,29 +1,17 @@
 package cache
 
-import "math/bits"
-
 // LRU is the classic least-recently-used policy, the paper's baseline for
 // both the CTR cache (Table 3) and the data hierarchy.
 //
-// For associativities up to 16 the full recency order of a set is packed
-// into one uint64 — nibble 0 holds the MRU way, nibble ways-1 the LRU way —
-// so Victim is a single shift instead of a stamp scan and a touch is a
-// branch-free nibble rotation. Wider caches fall back to per-line stamps.
-// Both representations yield identical victims: the order vector starts as
-// the reversed identity permutation, which reproduces the stamp scan's
-// lowest-index-first choice among never-touched ways.
+// A Cache of up to 16 ways keeps an LRU set's recency order in its own set
+// record and never calls this type (see Cache.touch). Wider caches use it
+// through the Policy interface: per-line last-touch stamps, the victim the
+// oldest, ties to the lowest way. Both choose identical victims.
 type LRU struct {
 	ways  int
-	order []uint64 // per-set packed recency (ways <= 16), MRU in nibble 0
-	stamp []uint64 // sets*ways last-touch sequence numbers (ways > 16)
+	stamp []uint64 // sets*ways last-touch sequence numbers
 	clock uint64
 }
-
-// Nibble-SWAR constants: repeated 0x1 and 0x8 in every 4-bit lane.
-const (
-	nibLSB = 0x1111111111111111
-	nibMSB = 0x8888888888888888
-)
 
 // NewLRU returns a new LRU policy.
 func NewLRU() *LRU { return &LRU{} }
@@ -34,34 +22,11 @@ func (p *LRU) Name() string { return "LRU" }
 // Reset implements Policy.
 func (p *LRU) Reset(sets, ways int) {
 	p.ways = ways
-	p.order, p.stamp, p.clock = nil, nil, 0
-	if ways <= 16 {
-		// Reversed identity: way 0 sits at the LRU end, matching the stamp
-		// scan's preference for the lowest untouched way.
-		var id uint64
-		for w := 0; w < ways; w++ {
-			id |= uint64(ways-1-w) << (4 * uint(w))
-		}
-		p.order = make([]uint64, sets)
-		for s := range p.order {
-			p.order[s] = id
-		}
-		return
-	}
 	p.stamp = make([]uint64, sets*ways)
+	p.clock = 0
 }
 
-// touch promotes (set, way) to MRU. On the packed path the way's nibble is
-// located with a SWAR zero-nibble scan (exact for the lowest zero lane, and
-// each way appears exactly once) and rotated to lane 0.
 func (p *LRU) touch(set, way int) {
-	if p.order != nil {
-		o := p.order[set]
-		x := o ^ uint64(way)*nibLSB
-		b := uint(bits.TrailingZeros64((x-nibLSB)&^x&nibMSB)) &^ 3
-		p.order[set] = (o&(1<<b-1))<<4 | uint64(way) | o&^(1<<(b+4)-1)
-		return
-	}
 	p.clock++
 	p.stamp[set*p.ways+way] = p.clock
 }
@@ -77,9 +42,6 @@ func (p *LRU) OnEvict(int, int) {}
 
 // Victim implements Policy: the least recently touched way.
 func (p *LRU) Victim(set int) int {
-	if p.order != nil {
-		return int(p.order[set] >> (4 * uint(p.ways-1)) & 0xF)
-	}
 	base := set * p.ways
 	victim, oldest := 0, p.stamp[base]
 	for w := 1; w < p.ways; w++ {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -47,6 +48,16 @@ func (r *refLRU) access(line uint64, write bool) (hit bool, evicted uint64, evDi
 	return false, victim.line, victim.dirty, true
 }
 
+// contains reports whether the line is resident.
+func (r *refLRU) contains(line uint64) bool {
+	for _, l := range r.lines[line%uint64(r.sets)] {
+		if l.line == line {
+			return true
+		}
+	}
+	return false
+}
+
 // invalidate drops the line if present, reporting whether it was dirty.
 func (r *refLRU) invalidate(line uint64) (present, dirty bool) {
 	set := int(line % uint64(r.sets))
@@ -83,22 +94,87 @@ type wbLog struct {
 
 func (l *wbLog) Writeback(r memsys.Request) { l.got = append(l.got, r.Line) }
 
+// lruTee drives one line stream through two identical LRU caches and
+// refLRU: c through Access, which must report every victim, and lv's
+// cache through Level.Probe, which must forward exactly the dirty victims,
+// with the reference's line, and nothing for a clean one.
+type lruTee struct {
+	t    testing.TB
+	c    *Cache
+	lv   *Level
+	down *wbLog
+	ref  *refLRU
+}
+
+func newLRUTee(t testing.TB, sets, ways int) *lruTee {
+	down := &wbLog{wbSink: newWBSink()}
+	return &lruTee{
+		t:    t,
+		c:    New("c", sets*ways*64, ways, NewLRU()),
+		lv:   NewLevel(New("lv", sets*ways*64, ways, NewLRU()), 1, down),
+		down: down,
+		ref:  newRefLRU(sets, ways),
+	}
+}
+
+// access checks one load or store and reports the reference's eviction.
+func (e *lruTee) access(line uint64, write bool) (didEvict, evDirty bool) {
+	e.t.Helper()
+	got := e.c.Access(line, write, 0)
+	e.down.got = e.down.got[:0]
+	lvHit := e.lv.Probe(line, write, 0, 0, 0)
+	hit, evLine, evDirty, didEvict := e.ref.access(line, write)
+	if got.Hit != hit || lvHit != hit {
+		e.t.Fatalf("line %#x: hit=%v probe hit=%v ref=%v", line, got.Hit, lvHit, hit)
+	}
+	if got.Evicted != didEvict {
+		e.t.Fatalf("line %#x: evicted=%v ref=%v", line, got.Evicted, didEvict)
+	}
+	if didEvict && (got.EvictedLine != evLine || got.EvictedDirty != evDirty) {
+		e.t.Fatalf("line %#x: victim (%#x,%v), ref (%#x,%v)",
+			line, got.EvictedLine, got.EvictedDirty, evLine, evDirty)
+	}
+	switch {
+	case didEvict && evDirty:
+		if len(e.down.got) != 1 || e.down.got[0] != evLine {
+			e.t.Fatalf("line %#x: dirty victim %#x reached down as %v", line, evLine, e.down.got)
+		}
+	case len(e.down.got) != 0:
+		e.t.Fatalf("line %#x: no dirty victim, but down received %v", line, e.down.got)
+	}
+	return didEvict, evDirty
+}
+
+// invalidate checks Invalidate on both caches.
+func (e *lruTee) invalidate(line uint64) {
+	e.t.Helper()
+	wantP, wantD := e.ref.invalidate(line)
+	gotP, gotD := e.c.Invalidate(line)
+	lvP, lvD := e.lv.Cache().Invalidate(line)
+	if gotP != wantP || gotD != wantD || lvP != wantP || lvD != wantD {
+		e.t.Fatalf("invalidate %#x = (%v,%v) and (%v,%v), ref (%v,%v)",
+			line, gotP, gotD, lvP, lvD, wantP, wantD)
+	}
+}
+
+// flush checks Flush on both caches.
+func (e *lruTee) flush() {
+	e.t.Helper()
+	if want := e.ref.flush(); e.c.Flush() != want || e.lv.Cache().Flush() != want {
+		e.t.Fatalf("flush disagrees with the reference's %d dirty lines", want)
+	}
+}
+
 // TestCacheMatchesReferenceLRU checks an LRU cache against refLRU at every
-// associativity the packed recency order covers (up to 16 ways) and above
-// it, where LRU falls back to stamps. One stream drives two identical
-// caches: one through Access, which must report every victim, and one
-// wrapped in a Level whose Probe must forward exactly the dirty victims,
-// with the reference's line, and nothing for a clean one. The stream
-// repeats its previous line often (the MRU-repeat memo's fast path) and
-// interleaves Invalidate and Flush, which must clear that memo.
+// associativity the cache-owned recency order covers (up to 16 ways) and
+// above it, where the LRU policy's stamps decide. The stream repeats its
+// previous line often (the MRU-repeat memo's fast path) and interleaves
+// Invalidate and Flush, which must clear that memo.
 func TestCacheMatchesReferenceLRU(t *testing.T) {
 	for _, ways := range []int{1, 2, 4, 8, 16, 32, 64} {
 		t.Run(fmt.Sprintf("ways=%d", ways), func(t *testing.T) {
 			const sets = 16
-			c := New("c", sets*ways*64, ways, NewLRU())
-			down := &wbLog{wbSink: newWBSink()}
-			lv := NewLevel(New("lv", sets*ways*64, ways, NewLRU()), 1, down)
-			ref := newRefLRU(sets, ways)
+			e := newLRUTee(t, sets, ways)
 			rng := rl.NewRand(21)
 			span := uint64(4 * sets * ways)
 			var line uint64
@@ -107,9 +183,7 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 			for i := 0; i < 100000; i++ {
 				switch r := rng.Intn(1 << 14); {
 				case r == 0:
-					if want := ref.flush(); c.Flush() != want || lv.Cache().Flush() != want {
-						t.Fatalf("step %d: flush disagrees with the reference's %d dirty lines", i, want)
-					}
+					e.flush()
 					flushes++
 					continue
 				case r < 1<<10:
@@ -118,43 +192,14 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 						target = line // the memo's line
 						memoInvalidations++
 					}
-					wantP, wantD := ref.invalidate(target)
-					gotP, gotD := c.Invalidate(target)
-					lvP, lvD := lv.Cache().Invalidate(target)
-					if gotP != wantP || gotD != wantD || lvP != wantP || lvD != wantD {
-						t.Fatalf("step %d: invalidate %d = (%v,%v) and (%v,%v), ref (%v,%v)",
-							i, target, gotP, gotD, lvP, lvD, wantP, wantD)
-					}
+					e.invalidate(target)
 					continue
 				case r < 6<<10:
 					// repeat the previous line
 				default:
 					line = rng.Uint64() % span
 				}
-				write := rng.Intn(3) == 0
-				got := c.Access(line, write, 0)
-				down.got = down.got[:0]
-				lvHit := lv.Probe(line, write, 0, 0, uint64(i))
-				hit, evLine, evDirty, didEvict := ref.access(line, write)
-				if got.Hit != hit || lvHit != hit {
-					t.Fatalf("step %d line %d: hit=%v probe hit=%v ref=%v", i, line, got.Hit, lvHit, hit)
-				}
-				if got.Evicted != didEvict {
-					t.Fatalf("step %d line %d: evicted=%v ref=%v", i, line, got.Evicted, didEvict)
-				}
-				if didEvict && (got.EvictedLine != evLine || got.EvictedDirty != evDirty) {
-					t.Fatalf("step %d line %d: victim (%d,%v), ref (%d,%v)",
-						i, line, got.EvictedLine, got.EvictedDirty, evLine, evDirty)
-				}
-				switch {
-				case didEvict && evDirty:
-					if len(down.got) != 1 || down.got[0] != evLine {
-						t.Fatalf("step %d line %d: dirty victim %d reached down as %v", i, line, evLine, down.got)
-					}
-				case len(down.got) != 0:
-					t.Fatalf("step %d line %d: no dirty victim, but down received %v", i, line, down.got)
-				}
-				if didEvict {
+				if didEvict, evDirty := e.access(line, rng.Intn(3) == 0); didEvict {
 					evictions++
 					if !evDirty {
 						cleanEvictions++
@@ -167,6 +212,51 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzCacheLRU decodes the input into loads, stores, invalidations,
+// flushes and lookups on LRU caches of 1 to 64 ways and 1 to 8 sets, and
+// checks every outcome against refLRU. The first byte picks the geometry,
+// the next eight a 64-bit base line; each following two-byte group is one
+// operation on a line derived from the base, so tags span the full 64-bit
+// range. One line form scatters lines over sets and tags; the other keeps
+// the base's set and partial-tag byte and varies only the tag bits above
+// it, so candidate ways collide in the SWAR scan.
+func FuzzCacheLRU(f *testing.F) {
+	f.Add([]byte{0x03, 1, 2, 3, 4, 5, 6, 7, 8, 0, 1, 8, 1, 0, 2, 16, 3, 24, 4, 5, 1, 7, 1, 0, 1})
+	f.Add([]byte{0x4f, 0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88,
+		16, 1, 16, 2, 16, 3, 16, 4, 16, 5, 16, 6, 16, 7, 16, 8, 16, 9, 16, 10, 16, 11,
+		16, 12, 16, 13, 16, 14, 16, 15, 16, 16, 16, 17, 16, 1, 24, 2, 21, 3, 23, 1, 6, 0})
+	f.Add([]byte{0xbf, 0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 8, 9, 0, 200, 13, 9, 15, 200, 6, 0, 0, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 9 {
+			return
+		}
+		ways, sets := 1+int(data[0]&63), 1<<(data[0]>>6)
+		base := binary.LittleEndian.Uint64(data[1:9])
+		shift := uint(log2(sets))
+		e := newLRUTee(t, sets, ways)
+		for ops := data[9:]; len(ops) >= 2; ops = ops[2:] {
+			op, x := ops[0], uint64(ops[1])
+			line := base ^ x*0x9E3779B97F4A7C15
+			if op&16 != 0 {
+				line = base ^ x<<(shift+8)
+			}
+			switch op % 8 {
+			case 5:
+				e.invalidate(line)
+			case 6:
+				e.flush()
+			case 7:
+				want := e.ref.contains(line)
+				if e.c.Contains(line) != want || e.lv.Cache().Contains(line) != want {
+					t.Fatalf("Contains(%#x) disagrees with the reference's %v", line, want)
+				}
+			default:
+				e.access(line, op&8 != 0)
+			}
+		}
+	})
 }
 
 func TestAllPoliciesVictimAlwaysValid(t *testing.T) {

@@ -150,7 +150,9 @@ func WithLifecycle(f func(runner.Transition)) LabOption {
 // (nil keeps the design's tabular default for that role). Policy-carrying
 // runs hash differently from default runs — they are different machines —
 // so stores keep both side by side; a lab with both policies nil produces
-// byte-identical spec hashes to a lab without this option.
+// byte-identical spec hashes to a lab without this option. A role applies
+// only to designs that build its predictor (data: Early == EarlyPredicted;
+// ctr: UseLCR), so the other designs' cells are the baseline cells.
 func WithPolicy(data, ctr *rl.PolicySpec) LabOption {
 	return func(o *labOptions) {
 		o.dataPolicy = data
@@ -226,19 +228,29 @@ func (l *Lab) spec(workload string, design secmem.Design, opt runOpts) runner.Sp
 		GraphDegree: l.Scale.GraphDegree,
 		Seed:        l.Scale.Seed,
 	}
-	if l.dataPolicy != nil || l.ctrPolicy != nil {
-		spec = l.withPolicies(spec)
+	// A policy reaches a spec only through a predictor the design builds,
+	// so designs without one (NP, MorphCtr, EMCC, RMCC) keep the baseline
+	// spec and share its cell across policy campaigns.
+	data, ctr := l.dataPolicy, l.ctrPolicy
+	if design.Early != secmem.EarlyPredicted {
+		data = nil
+	}
+	if !design.UseLCR {
+		ctr = nil
+	}
+	if data != nil || ctr != nil {
+		spec = withPolicies(spec, data, ctr)
 	}
 	return spec
 }
 
-// withPolicies rewrites a spec to carry the lab's policy selections: the
-// machine configuration the runner would derive implicitly is materialised
-// (so the policies have a Params to live in) and the label records the
-// policy kinds. Leaving both policies nil would still change the hash —
-// Config non-nil is a different spec — which is why spec() only calls this
-// when a policy is actually set.
-func (l *Lab) withPolicies(spec runner.Spec) runner.Spec {
+// withPolicies rewrites a spec to carry the policy selections: the machine
+// configuration the runner would derive implicitly is materialised (so the
+// policies have a Params to live in) and the label records the policy
+// kinds. Leaving both policies nil would still change the hash — Config
+// non-nil is a different spec — which is why spec() only calls this when a
+// policy is actually set.
+func withPolicies(spec runner.Spec, data, ctr *rl.PolicySpec) runner.Spec {
 	var cfg sim.Config
 	if spec.Cores == 8 {
 		cfg = sim.EightCore()
@@ -248,10 +260,10 @@ func (l *Lab) withPolicies(spec runner.Spec) runner.Spec {
 	}
 	cfg.MC.Seed = spec.Seed
 	cfg.MC.Params.Seed = spec.Seed
-	cfg.MC.Params.DataPolicy = l.dataPolicy
-	cfg.MC.Params.CtrPolicy = l.ctrPolicy
+	cfg.MC.Params.DataPolicy = data
+	cfg.MC.Params.CtrPolicy = ctr
 	spec.Config = &cfg
-	spec.Label = spec.Workload + "_" + spec.Design.Name + "_pol-" + policyTag(l.dataPolicy, l.ctrPolicy)
+	spec.Label = spec.Workload + "_" + spec.Design.Name + "_pol-" + policyTag(data, ctr)
 	return spec
 }
 

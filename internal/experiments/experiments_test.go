@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"cosmos/internal/rl"
 	"cosmos/internal/runner"
 	"cosmos/internal/secmem"
 )
@@ -140,6 +141,47 @@ func TestPerfNormalisation(t *testing.T) {
 	p := l.perf("canneal", secmem.DesignMorph(), runOpts{})
 	if p <= 0 || p >= 1 {
 		t.Fatalf("MorphCtr perf vs NP = %v, want in (0,1)", p)
+	}
+}
+
+// TestPolicyLabReusesBaselineCells holds a policy campaign to the designs
+// that build a predictor for the role: fig10 under a perceptron on both
+// roles restores its 22 NP and MorphCtr cells from a plain lab's store and
+// executes only the 33 COSMOS variants. A data-only policy leaves COSMOS-CP
+// (no data predictor) on its baseline spec too.
+func TestPolicyLabReusesBaselineCells(t *testing.T) {
+	sc := Scale{GraphNodes: 20_000, GraphDegree: 4, Accesses: 10_000, Seed: 42,
+		Fig8Points: []uint64{10_000}}
+	dir := t.TempDir()
+	open := func() *runner.Store {
+		st, err := runner.OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	e, _ := ByID("fig10")
+	if _, err := e.Run(NewLab(sc, WithStore(open()))); err != nil {
+		t.Fatal(err)
+	}
+	perc := &rl.PolicySpec{Kind: rl.KindPerceptron}
+	pol := NewLab(sc, WithStore(open()), WithPolicy(perc, perc))
+	if _, err := e.Run(pol); err != nil {
+		t.Fatal(err)
+	}
+	if st := pol.Orchestrator().Stats(); st.Restored != 22 || st.Executed != 33 {
+		t.Fatalf("policy fig10 restored %d and executed %d cells, want 22 and 33", st.Restored, st.Executed)
+	}
+
+	plain, dataOnly := NewLab(sc), NewLab(sc, WithPolicy(perc, nil))
+	for _, d := range []secmem.Design{secmem.DesignNP(), secmem.DesignMorph(), secmem.DesignEMCC(),
+		secmem.DesignRMCC(), secmem.DesignCosmosCP()} {
+		if got, want := dataOnly.spec("mcf", d, runOpts{}).Key(), plain.spec("mcf", d, runOpts{}).Key(); got != want {
+			t.Errorf("%s: a data-only policy moved the spec key", d.Name)
+		}
+	}
+	if dataOnly.spec("mcf", secmem.DesignCosmosDP(), runOpts{}).Key() == plain.spec("mcf", secmem.DesignCosmosDP(), runOpts{}).Key() {
+		t.Error("COSMOS-DP: a data policy did not enter the spec key")
 	}
 }
 

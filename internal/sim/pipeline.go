@@ -75,10 +75,10 @@ func (v *victimLog) Writeback(r memsys.Request) { v.lines = append(v.lines, r.Li
 // misses per level, and logs the outcome into log (which must have room
 // for len(accs) records). It touches no state the timing half writes.
 func (s *System) walk(accs []memsys.Access, log *walkLog) {
-	chains, cores, demand, wb := s.chains, s.cfg.Cores, s.demand, s.victims
+	chains, coreOf, demand, wb := s.chains, &s.coreOf, s.demand, s.victims
 	wb.lines = log.victims[:0]
 	for k, a := range accs {
-		c := int(a.Thread) % cores
+		c := int(coreOf[a.Thread])
 		chain := chains[c]
 		line := a.Addr.Line()
 		v := len(wb.lines)

@@ -213,6 +213,10 @@ type System struct {
 	victims *victimLog
 	term    *secmem.Level
 	stepLog walkLog
+
+	// coreOf maps an access's thread to its core (thread modulo cores),
+	// so walk indexes a table instead of dividing per access.
+	coreOf [256]uint8
 }
 
 // New builds a system for the given design point: the secure-memory
@@ -283,6 +287,9 @@ func New(cfg Config, design secmem.Design) *System {
 	s.threadCycles = make([]uint64, cfg.Cores)
 	s.cycleBase = make([]uint64, cfg.Cores)
 	s.stepLog = newWalkLog(1, len(s.specs))
+	for t := range s.coreOf {
+		s.coreOf[t] = uint8(t % cfg.Cores)
+	}
 	return s
 }
 
