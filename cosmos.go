@@ -251,10 +251,8 @@ func RunExperimentContext(ctx context.Context, id string, opts ExperimentOpts) (
 			})
 		}))
 	}
-	l := experiments.NewLab(experiments.Scaled(opts.Scale), lopts...)
-	// A failed prewarm stays on the lab, so e.Run returns it unrendered.
-	_ = experiments.Prewarm(l, e)
-	return e.Run(l)
+	// e.Run plans the experiment's cells, then renders it.
+	return e.Run(experiments.NewLab(experiments.Scaled(opts.Scale), lopts...))
 }
 
 // SecureMemory is the functional AES-CTR + MAC + Merkle-tree protected

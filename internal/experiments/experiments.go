@@ -105,6 +105,8 @@ type Lab struct {
 
 	mu  sync.Mutex
 	err error
+	// warm holds the keys of the cells a Prewarm of this lab requested.
+	warm map[string]bool
 }
 
 // LabOption configures NewLab.
@@ -166,7 +168,7 @@ func NewLab(sc Scale, opts ...LabOption) *Lab {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	l := &Lab{Scale: sc, ctx: o.ctx, dataPolicy: o.dataPolicy, ctrPolicy: o.ctrPolicy}
+	l := &Lab{Scale: sc, ctx: o.ctx, dataPolicy: o.dataPolicy, ctrPolicy: o.ctrPolicy, warm: map[string]bool{}}
 	l.orch = runner.New(runner.Options{Workers: o.workers, Store: o.store})
 	l.orch.Lifecycle = o.lifecycle
 	return l
@@ -349,13 +351,14 @@ type Experiment struct {
 	Gen func(l *Lab) *stats.Table
 }
 
-// Run regenerates the experiment's table on the lab. Any simulation error
-// the lab hits — a bad workload spec, a worker panic (typed *runner.
-// PanicError), or cancellation of the lab's context — is returned instead
-// of a table. A lab that already failed returns that error immediately, so
-// an interrupted `-exp all` campaign drains without starting new work.
+// Run regenerates the experiment's table on the lab: it plans the cells
+// with Prewarm, then renders. Any simulation error the lab hits — a bad
+// workload spec, a worker panic (typed *runner.PanicError), or
+// cancellation of the lab's context — is returned instead of a table. A
+// lab that already failed returns that error immediately, so an
+// interrupted `-exp all` campaign drains without starting new work.
 func (e Experiment) Run(l *Lab) (*stats.Table, error) {
-	if err := l.Err(); err != nil {
+	if err := Prewarm(l, e); err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", e.ID, err)
 	}
 	t := e.Gen(l)

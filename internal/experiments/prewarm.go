@@ -21,15 +21,16 @@ func (p *plan) add(spec runner.Spec) {
 }
 
 // Prewarm runs every lab cell the experiments will request through the
-// lab's orchestrator at once (its worker pool bounds parallelism), so the
-// serial render that follows finds them memoised — and stored, when the
-// lab has a results store. The cell set comes from the generators
-// themselves: each runs against a planning lab with l's scale and
-// policies, whose runs record their spec and return zero Results. Work a
-// generator does outside the lab is skipped while planning and runs at
-// render time. Results never depend on the parallelism. The first
-// simulation error (including cancellation) is recorded on the lab and
-// returned.
+// lab's orchestrator at once (runner.Orchestrator.RunAll, which runs the
+// cells of one stream and machine as one group), so the serial render
+// that follows finds them memoised — and stored, when the lab has a
+// results store. The cell set comes from the generators themselves: each
+// runs against a planning lab with l's scale and policies, whose runs
+// record their spec and return zero Results. Cells an earlier Prewarm of l
+// already ran are not requested again. Work a generator does outside the
+// lab is skipped while planning and runs at render time. Results never
+// depend on the parallelism. The first simulation error (including
+// cancellation) is recorded on the lab and returned.
 func Prewarm(l *Lab, exps ...Experiment) error {
 	if err := l.Err(); err != nil {
 		return err
@@ -41,7 +42,16 @@ func Prewarm(l *Lab, exps ...Experiment) error {
 	for _, e := range exps {
 		e.Gen(planner)
 	}
-	if err := l.orch.RunAll(l.ctx, planner.plan.specs); err != nil {
+	l.mu.Lock()
+	var specs []runner.Spec
+	for _, sp := range planner.plan.specs {
+		if key := sp.Key(); !l.warm[key] {
+			l.warm[key] = true
+			specs = append(specs, sp)
+		}
+	}
+	l.mu.Unlock()
+	if err := l.orch.RunAll(l.ctx, specs); err != nil {
 		l.fail(err)
 		return err
 	}

@@ -151,6 +151,27 @@ func (s Spec) config() sim.Config {
 	return cfg
 }
 
+// walkKey identifies the access stream and the on-chip hierarchy a
+// normalized spec's simulation walks: workload, seed, cores, accesses,
+// graph parameters and the resolved on-chip levels. Specs with one walk
+// key differ at most in their secure-memory side, so RunAll runs them as
+// one group (sim.RunGroup). It is an in-memory grouping key, never stored.
+func (s Spec) walkKey() string {
+	b, err := json.Marshal(struct {
+		Workload    string
+		Seed        uint64
+		Cores       int
+		Accesses    uint64
+		GraphNodes  int
+		GraphDegree int
+		Levels      []sim.LevelSpec
+	}{s.Workload, s.Seed, s.Cores, s.Accesses, s.GraphNodes, s.GraphDegree, s.config().OnChip()})
+	if err != nil {
+		panic(fmt.Sprintf("runner: cannot encode walk key: %v", err))
+	}
+	return string(b)
+}
+
 // Validate rejects specs the executor cannot run, before any simulation
 // state is built: an empty workload name, a zero access budget, negative
 // core counts or bad machine geometry. The orchestrator calls it at the

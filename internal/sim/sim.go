@@ -10,6 +10,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"cosmos/internal/cache"
@@ -74,7 +75,7 @@ func (c Config) Validate() error {
 	if c.InstrPerAccess < 1 {
 		return fmt.Errorf("sim: instr-per-access %d must be at least 1", c.InstrPerAccess)
 	}
-	specs := c.levelSpecs()
+	specs := c.OnChip()
 	if len(specs) == 0 || len(specs) > 255 {
 		return fmt.Errorf("sim: %d levels, want 1 to 255", len(specs))
 	}
@@ -103,9 +104,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// levelSpecs resolves the on-chip hierarchy: the explicit Levels list when
+// OnChip resolves the on-chip hierarchy: the explicit Levels list when
 // set, otherwise the classic L1/L2/LLC machine.
-func (c Config) levelSpecs() []LevelSpec {
+func (c Config) OnChip() []LevelSpec {
 	if len(c.Levels) > 0 {
 		return c.Levels
 	}
@@ -217,30 +218,18 @@ type System struct {
 	// coreOf maps an access's thread to its core (thread modulo cores),
 	// so walk indexes a table instead of dividing per access.
 	coreOf [256]uint8
+
+	// walkedBy is the system whose walk a timing-only member times (see
+	// Member); nil for a system with its own hierarchy.
+	walkedBy *System
 }
 
 // New builds a system for the given design point: the secure-memory
 // terminal, then the on-chip levels bottom-up so each can be handed its
 // downstream writeback link.
 func New(cfg Config, design secmem.Design) *System {
-	cfg.MC.Cores = cfg.Cores
-	s := &System{cfg: cfg, design: design}
-	s.specs = cfg.levelSpecs()
-	s.mc = secmem.NewEngine(cfg.MC, design)
-
-	s.sharedFrom = len(s.specs)
-	for i, sp := range s.specs {
-		if sp.Shared {
-			s.sharedFrom = i
-			break
-		}
-	}
-	for i := s.sharedFrom; i < len(s.specs); i++ {
-		if !s.specs[i].Shared {
-			panic(fmt.Sprintf("sim: private level %q below shared level %q",
-				s.specs[i].Name, s.specs[s.sharedFrom].Name))
-		}
-	}
+	s := newTiming(cfg, design)
+	s.demand = make([]levelStats, len(s.specs))
 
 	newLevel := func(sp LevelSpec, down memsys.Level) *cache.Level {
 		return cache.NewLevel(cache.New(sp.Name, sp.Bytes, sp.Ways, cache.NewLRU()), sp.Lat, down)
@@ -249,7 +238,6 @@ func New(cfg Config, design secmem.Design) *System {
 	// Shared tail, built once. The last level drains into the victim log;
 	// the timing half replays its lines into the secure-memory terminal.
 	s.victims = &victimLog{}
-	s.term = secmem.NewLevel(s.mc)
 	var down memsys.Level = s.victims
 	shared := make([]*cache.Level, len(s.specs)-s.sharedFrom)
 	for i := len(s.specs) - 1; i >= s.sharedFrom; i-- {
@@ -272,6 +260,36 @@ func New(cfg Config, design secmem.Design) *System {
 		}
 		s.chains[c] = chain
 	}
+	s.stepLog = newWalkLog(1, len(s.specs))
+	for t := range s.coreOf {
+		s.coreOf[t] = uint8(t % cfg.Cores)
+	}
+	return s
+}
+
+// newTiming builds everything of a system but its on-chip hierarchy and
+// demand counters: the secure-memory side, the fetch-plan profile, the
+// level latencies and the thread clocks.
+func newTiming(cfg Config, design secmem.Design) *System {
+	cfg.MC.Cores = cfg.Cores
+	s := &System{cfg: cfg, design: design}
+	s.specs = cfg.OnChip()
+	s.mc = secmem.NewEngine(cfg.MC, design)
+	s.term = secmem.NewLevel(s.mc)
+
+	s.sharedFrom = len(s.specs)
+	for i, sp := range s.specs {
+		if sp.Shared {
+			s.sharedFrom = i
+			break
+		}
+	}
+	for i := s.sharedFrom; i < len(s.specs); i++ {
+		if !s.specs[i].Shared {
+			panic(fmt.Sprintf("sim: private level %q below shared level %q",
+				s.specs[i].Name, s.specs[s.sharedFrom].Name))
+		}
+	}
 	s.plan = newPlanProfile(cfg, design)
 
 	s.lats = make([]uint64, len(s.specs))
@@ -282,15 +300,29 @@ func New(cfg Config, design secmem.Design) *System {
 	for _, l := range s.lats[1:] {
 		s.walkLat += l
 	}
-
-	s.demand = make([]levelStats, len(s.specs))
 	s.threadCycles = make([]uint64, cfg.Cores)
 	s.cycleBase = make([]uint64, cfg.Cores)
-	s.stepLog = newWalkLog(1, len(s.specs))
-	for t := range s.coreOf {
-		s.coreOf[t] = uint8(t % cfg.Cores)
-	}
 	return s
+}
+
+// Member builds a timing-only system for a group run with s (see
+// RunGroup): it has its own secure-memory side, built from cfg and design,
+// and no on-chip hierarchy. It times the accesses s walks, and its demand
+// counters are s's. cfg may differ from s's config in everything but the
+// cores and the on-chip levels; Member panics if those differ. A member
+// cannot Step, Warmup or run on its own, and registers no metrics.
+func (s *System) Member(cfg Config, design secmem.Design) *System {
+	if s.walkedBy != nil {
+		panic("sim: Member of a timing-only system")
+	}
+	if cfg.Cores != s.cfg.Cores || !slices.Equal(cfg.OnChip(), s.specs) {
+		panic(fmt.Sprintf("sim: group member's machine (%d cores, levels %v) differs from the walker's (%d cores, levels %v)",
+			cfg.Cores, cfg.OnChip(), s.cfg.Cores, s.specs))
+	}
+	m := newTiming(cfg, design)
+	m.demand = s.demand
+	m.walkedBy = s
+	return m
 }
 
 // MC exposes the memory controller (for experiment harnesses).
@@ -430,13 +462,17 @@ func (s *System) Warmup(gen trace.Generator, n uint64) {
 // ResetStats zeroes measurements (not learned state); see Warmup. Thread
 // clocks keep running: measured cycles restart from the current clocks.
 func (s *System) ResetStats() {
-	for i := range s.demand {
-		s.demand[i] = levelStats{}
-	}
 	s.accesses, s.reads, s.writes = 0, 0, 0
 	s.offChipReads, s.fetchLatSum, s.bypassed = 0, 0, 0
 	s.fetchHist = telemetry.Histogram{}
 	copy(s.cycleBase, s.threadCycles)
+	s.mc.ResetStats()
+	if s.walkedBy != nil {
+		return // the hierarchy and its demand counters are the walker's
+	}
+	for i := range s.demand {
+		s.demand[i] = levelStats{}
+	}
 	for c := range s.chains {
 		for i := 0; i < s.sharedFrom; i++ {
 			s.chains[c][i].ResetStats()
@@ -445,7 +481,6 @@ func (s *System) ResetStats() {
 	for i := s.sharedFrom; i < len(s.specs); i++ {
 		s.chains[0][i].ResetStats()
 	}
-	s.mc.ResetStats()
 }
 
 // Run drives the system from a generator for at most maxAccesses. When a
