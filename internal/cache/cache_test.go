@@ -60,9 +60,9 @@ func TestDirtyWriteback(t *testing.T) {
 	if c.Stats.Writebacks != 1 {
 		t.Fatalf("writebacks = %d", c.Stats.Writebacks)
 	}
-	// Clean eviction.
+	// Clean eviction: the line is not rebuilt.
 	r = c.Access(3, false, 0)
-	if !r.Evicted || r.EvictedDirty {
+	if !r.Evicted || r.EvictedDirty || r.EvictedLine != 0 {
 		t.Fatalf("expected clean eviction, got %+v", r)
 	}
 }
@@ -71,9 +71,9 @@ func TestEvictedLineReconstruction(t *testing.T) {
 	c := New("c", 64*8, 1, NewLRU()) // 8 sets, direct-mapped
 	f := func(raw uint32) bool {
 		line := uint64(raw)
-		c.Access(line, false, 0)
+		c.Access(line, true, 0)
 		r := c.Access(line+8, false, 0) // same set (8 sets), different tag
-		return r.Evicted && r.EvictedLine == line
+		return r.Evicted && r.EvictedDirty && r.EvictedLine == line
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -82,10 +82,11 @@ func TestEvictedLineReconstruction(t *testing.T) {
 
 func TestLRUOrder(t *testing.T) {
 	c := New("c", 64*4, 4, NewLRU()) // 1 set, 4 ways
+	// Stores, so every victim is dirty and reports its line.
 	for i := uint64(0); i < 4; i++ {
-		c.Access(i, false, 0)
+		c.Access(i, true, 0)
 	}
-	c.Access(0, false, 0) // 0 is now MRU; LRU order: 1,2,3,0
+	c.Access(0, true, 0) // 0 is now MRU; LRU order: 1,2,3,0
 	r := c.Access(10, false, 0)
 	if !r.Evicted || r.EvictedLine != 1 {
 		t.Fatalf("LRU should evict line 1, got %+v", r)
@@ -99,7 +100,7 @@ func TestLRUOrder(t *testing.T) {
 func TestContainsDoesNotDisturb(t *testing.T) {
 	c := New("c", 64*4, 4, NewLRU())
 	for i := uint64(0); i < 4; i++ {
-		c.Access(i, false, 0)
+		c.Access(i, true, 0) // dirty, so the victim reports its line
 	}
 	if !c.Contains(0) || c.Contains(99) {
 		t.Fatal("Contains wrong")

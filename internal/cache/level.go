@@ -33,7 +33,7 @@ func (l *Level) Cache() *Cache { return l.cache }
 // interface dispatch. Only a dirty victim's line is needed here, so a
 // clean eviction skips reading the victim's tag.
 func (l *Level) Probe(line uint64, write bool, sig uint16, core int, now uint64) bool {
-	hit, _, _, evLine, _, evDirty := l.cache.probe(line, write, sig, false)
+	hit, _, _, evLine, _, evDirty := l.cache.probe(line, write, sig)
 	if evDirty && l.down != nil {
 		l.down.Writeback(memsys.Request{
 			Line:  evLine,

@@ -43,9 +43,10 @@ func TestLFUAgingAllowsTurnover(t *testing.T) {
 func TestLFUVictimTieBreak(t *testing.T) {
 	lfu := NewLFU()
 	c := New("c", 64*3, 3, lfu)
-	c.Access(0, false, 0)
-	c.Access(1, false, 0)
-	c.Access(2, false, 0)
+	// Stores, so the victim is dirty and reports its line.
+	c.Access(0, true, 0)
+	c.Access(1, true, 0)
+	c.Access(2, true, 0)
 	// Equal counts: the oldest (0) is the victim.
 	r := c.Access(9, false, 0)
 	if r.EvictedLine != 0 {
