@@ -1,16 +1,17 @@
 package ctr
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
 
 func TestSchemeRatios(t *testing.T) {
-	if Mono().LinesPerBlock != 8 {
-		t.Error("mono covers 8 lines per 64B block")
-	}
 	if Split().LinesPerBlock != 64 {
 		t.Error("split covers 64 lines")
+	}
+	if Split().MinorCapacity != 127 {
+		t.Error("split's 7-bit minors absorb 127 writes")
 	}
 	if Morph().LinesPerBlock != 128 {
 		t.Error("morphctr covers 128 lines (1:128, §2.2)")
@@ -106,15 +107,6 @@ func TestCounterValuesNeverRepeatAcrossOverflow(t *testing.T) {
 	}
 }
 
-func TestMonoEffectivelyNeverOverflows(t *testing.T) {
-	st := NewStore(Mono())
-	for i := 0; i < 100000; i++ {
-		if ov, _ := st.Increment(3); ov {
-			t.Fatal("mono counter overflowed")
-		}
-	}
-}
-
 func TestMorphFormatTransitions(t *testing.T) {
 	st := NewStore(Morph())
 	// Write most lines in one block: the block densifies, then overflow
@@ -138,21 +130,78 @@ func TestCtrBlocksFor(t *testing.T) {
 	if got := Morph().CtrBlocksFor(32 << 30); got != 4194304 {
 		t.Fatalf("CtrBlocksFor(32GB) = %d", got)
 	}
-	if got := Mono().CtrBlocksFor(64 * 8); got != 1 {
+	if got := Split().CtrBlocksFor(64 * 64); got != 1 {
 		t.Fatalf("one block expected, got %d", got)
 	}
-	if got := Mono().CtrBlocksFor(64*8 + 1); got != 2 {
+	if got := Split().CtrBlocksFor(64*64 + 1); got != 2 {
 		t.Fatalf("rounding up expected, got %d", got)
 	}
 }
 
 func TestInvalidSchemePanics(t *testing.T) {
+	wide := Split()
+	wide.MinorCapacity = 255 // an overflowing write would not fit a byte
+	for _, s := range []Scheme{{}, wide} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewStore(%+v) should panic", s)
+				}
+			}()
+			NewStore(s)
+		}()
+	}
+	edge := Split()
+	edge.MinorCapacity = 254
+	st := NewStore(edge)
+	for i := uint32(0); i < edge.MinorCapacity; i++ {
+		st.Increment(9)
+	}
+	if _, min := st.Value(9); min != 254 {
+		t.Fatalf("minor = %d after 254 writes", min)
+	}
+	if ov, _ := st.Increment(9); !ov {
+		t.Fatal("write 255 must overflow")
+	}
+}
+
+func TestRestoreBlockRejectsWideMinor(t *testing.T) {
+	st := NewStore(Morph())
+	minors := make([]uint32, Morph().LinesPerBlock)
+	minors[3] = 256
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewStore should panic on an invalid scheme")
+			t.Fatal("RestoreBlock must panic on a minor that does not fit a byte")
+		}
+		if st.BlockExists(0) {
+			t.Fatal("a rejected restore must not materialise the block")
 		}
 	}()
-	NewStore(Scheme{})
+	st.RestoreBlock(0, 1, minors)
+}
+
+// TestStoreBytesPerBlock bounds the live heap a materialised MorphCtr
+// block costs: its byte minors, header and index entry.
+func TestStoreBytesPerBlock(t *testing.T) {
+	const blocks = 200_000
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	st := NewStore(Morph())
+	for b := uint64(0); b < blocks; b++ {
+		st.Increment(b*uint64(Morph().LinesPerBlock) + b%128)
+	}
+	after := heap()
+	runtime.KeepAlive(st)
+	per := float64(after-before) / blocks
+	t.Logf("%.1f B of live heap per block", per)
+	if per > 200 {
+		t.Fatalf("%.1f B of live heap per materialised block, want at most 200", per)
+	}
 }
 
 func TestSplitCapacity(t *testing.T) {

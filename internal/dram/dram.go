@@ -5,7 +5,9 @@
 package dram
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 
 	"cosmos/internal/telemetry"
 )
@@ -39,8 +41,10 @@ func DefaultConfig() Config {
 }
 
 // Validate rejects geometry New cannot model sensibly. Zero-valued fields
-// are legal (New substitutes the Table 3 defaults); negative counts and
-// non-power-of-two row sizes are not.
+// are legal (New substitutes the Table 3 defaults); negative counts,
+// non-power-of-two row sizes and a bank count (channels × banks per
+// channel, after defaults) that is not a power of two are not, so the bank
+// mapping is shifts and masks.
 func (c Config) Validate() error {
 	if c.Channels < 0 {
 		return fmt.Errorf("dram: negative channel count %d", c.Channels)
@@ -50,6 +54,13 @@ func (c Config) Validate() error {
 	}
 	if c.RowBytes != 0 && (c.RowBytes < 64 || c.RowBytes&(c.RowBytes-1) != 0) {
 		return fmt.Errorf("dram: row size %d not a power of two >= 64", c.RowBytes)
+	}
+	def := DefaultConfig()
+	ch, bp := cmp.Or(c.Channels, def.Channels), cmp.Or(c.BanksPer, def.BanksPer)
+	// A product of positive integers is a power of two exactly when each
+	// factor is; testing the factors cannot overflow.
+	if ch&(ch-1) != 0 || bp&(bp-1) != 0 {
+		return fmt.Errorf("dram: %d channels × %d banks is not a power of two", ch, bp)
 	}
 	return nil
 }
@@ -79,11 +90,20 @@ type Model struct {
 	openRow []int64  // per-bank open row (-1 = closed)
 	freeAt  []uint64 // per-bank earliest next-command time
 
+	// bankOf's mapping: a row number is addr>>rowShift, its bank the low
+	// bits under bankMask, its row within the bank the bits above.
+	rowShift, bankShift uint
+	bankMask            uint64
+
 	Stats Stats
 }
 
 // New builds a model from cfg (zero-valued fields fall back to defaults).
+// It panics on a config that Validate rejects.
 func New(cfg Config) *Model {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	def := DefaultConfig()
 	if cfg.Channels <= 0 {
 		cfg.Channels = def.Channels
@@ -107,7 +127,14 @@ func New(cfg Config) *Model {
 		cfg.TBus = def.TBus
 	}
 	nbanks := cfg.Channels * cfg.BanksPer
-	m := &Model{cfg: cfg, openRow: make([]int64, nbanks), freeAt: make([]uint64, nbanks)}
+	m := &Model{
+		cfg:       cfg,
+		openRow:   make([]int64, nbanks),
+		freeAt:    make([]uint64, nbanks),
+		rowShift:  uint(bits.TrailingZeros64(cfg.RowBytes)),
+		bankShift: uint(bits.TrailingZeros(uint(nbanks))),
+		bankMask:  uint64(nbanks - 1),
+	}
 	for i := range m.openRow {
 		m.openRow[i] = -1
 	}
@@ -131,9 +158,8 @@ func (m *Model) RegisterMetrics(s *telemetry.Scope) {
 // above the row select channel and bank so sequential rows spread across
 // banks.
 func (m *Model) bankOf(addr uint64) (bank int, row int64) {
-	rowNum := addr / m.cfg.RowBytes
-	nbanks := uint64(len(m.freeAt))
-	return int(rowNum % nbanks), int64(rowNum / nbanks)
+	rowNum := addr >> m.rowShift
+	return int(rowNum & m.bankMask), int64(rowNum >> m.bankShift)
 }
 
 // Access simulates one 64B read or write beginning no earlier than `now`,

@@ -8,7 +8,7 @@
 //     fan-out never oversubscribes the machine;
 //   - shared walks: RunAll runs the cells that differ only in their
 //     secure-memory side in groups over one decoded stream and one
-//     on-chip walk each (sim.RunGroup), at most 2×Workers systems alive;
+//     on-chip walk each (sim.RunGroup), at most 3×Workers systems alive;
 //   - singleflight deduplication keyed by a canonical content hash of the
 //     Spec (workload, design, config, scale, seed): two concurrent requests
 //     for the same cell execute one simulation and share its Results;
@@ -521,7 +521,7 @@ func (o *Orchestrator) runEach(ctx context.Context, specs []Spec) error {
 // membersPerSlot is how many systems of a group one worker slot holds
 // alive: a chunk of k members needs ⌈k/membersPerSlot⌉ slots before it
 // starts, so RunAll keeps at most membersPerSlot×Workers systems alive.
-const membersPerSlot = 2
+const membersPerSlot = 3
 
 // chunk is leader requests that share a walk key, run as one group: the
 // worker slots it holds, one per goroutine that times its members, and
